@@ -1,19 +1,20 @@
 //! Offline shim for a persistent worker crew with a blocking broadcast.
 //!
 //! The build environment has no access to crates.io, so the small slice of
-//! `rayon::broadcast`-style functionality the parallel peel needs is
-//! hand-rolled here: a fixed set of threads spawned **once** and reused
+//! `rayon::broadcast`-style functionality a round-based parallel kernel needs
+//! is hand-rolled here: a fixed set of threads spawned **once** and reused
 //! across many rounds, where [`WorkerCrew::broadcast`] runs one closure on
 //! every worker (passed its index) and blocks until all of them finish.
 //! This replaces per-round `std::thread::scope` spawns, whose setup/teardown
-//! cost dominates short bucket-peeling rounds.
+//! cost dominates short rounds.
 //!
 //! This crate is the **only** place in the workspace that erases the
 //! lifetime of the broadcast closure; soundness rests on the invariant that
 //! `broadcast` does not return until every worker has finished running the
 //! closure, so the borrow it captures can never be outlived.  Consumers
-//! (notably `dcs-densest`, which is `#![forbid(unsafe_code)]`) work through
-//! the safe API below.
+//! work through the safe API below.
+//!
+//! No crate in the workspace depends on it at present.
 
 #![warn(missing_docs)]
 

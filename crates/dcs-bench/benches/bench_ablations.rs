@@ -2,7 +2,7 @@
 //!
 //! 1. smart initialisation on/off (NewSEA vs a capped SEACD+Refine sweep),
 //! 2. coordinate-descent shrink vs replicator-dynamics shrink,
-//! 3. lazy-heap peeling vs naive re-scan peeling,
+//! 3. indexed-heap peeling vs lazy-heap, segment-tree and naive re-scan peeling,
 //! 4. exact (Goldberg) vs greedy (Charikar) densest subgraph on `G_D+`.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
@@ -12,6 +12,7 @@ use dcs_datasets::{CoauthorConfig, Scale};
 use dcs_densest::charikar::{greedy_peeling, greedy_peeling_rescan};
 use dcs_densest::replicator::{replicator_dynamics, ReplicatorStop};
 use dcs_densest::{densest_subgraph_exact, Embedding};
+use dcs_graph::GraphView;
 
 fn bench_ablations(c: &mut Criterion) {
     let mut config_small = CoauthorConfig::for_scale(Scale::Tiny);
@@ -51,7 +52,16 @@ fn bench_ablations(c: &mut Criterion) {
     );
 
     // 3. Peeling structure.
-    group.bench_function("peeling_lazy_heap", |b| b.iter(|| greedy_peeling(&gd)));
+    group.bench_function("peeling_indexed_heap", |b| b.iter(|| greedy_peeling(&gd)));
+    group.bench_function("peeling_lazy_heap", |b| {
+        b.iter(|| {
+            dcs_densest::greedy_peeling_view_with::<dcs_densest::peel::LazyHeapQueue, _>(
+                GraphView::full(&gd),
+                &mut dcs_densest::PeelWorkspace::new(),
+                |_| false,
+            )
+        })
+    });
     group.bench_function("peeling_segment_tree", |b| {
         b.iter(|| dcs_densest::charikar::greedy_peeling_segment_tree(&gd))
     });

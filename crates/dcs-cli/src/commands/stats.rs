@@ -259,6 +259,10 @@ fn render_server_stats(addr: &str, payload: &Value) -> String {
                 ),
             ),
             ("load shed", u64_at(payload, &["io", "shed"]).to_string()),
+            (
+                "requests too large",
+                u64_at(payload, &["io", "requests_too_large"]).to_string(),
+            ),
         ],
     );
     out.push('\n');

@@ -183,7 +183,7 @@ impl SolveContext {
     }
 
     /// Attaches a [`SharedWorkspace`]: every solve under this context reuses the
-    /// workspace's scratch buffers (degree arrays, lazy heaps, removal orders, the
+    /// workspace's scratch buffers (degree arrays, peel heaps, removal orders, the
     /// max-flow arena) instead of allocating them.  The workspace never affects
     /// results — only where the scratch memory comes from.
     pub fn with_workspace(mut self, workspace: &SharedWorkspace) -> Self {
@@ -192,10 +192,10 @@ impl SolveContext {
     }
 
     /// Sets the intra-solve parallelism budget: the number of worker threads
-    /// the solver kernels (parallel peeling, the KKT/µ_u range scans) may use.
-    /// `1` forces the sequential reference paths; higher values are safe on any
-    /// machine because every parallel kernel is **bit-identical** to its
-    /// sequential counterpart.  `0` restores the default (the
+    /// the DCSGA kernels (the NewSEA µ_u sweep and its KKT/expansion range scans)
+    /// may use.  The greedy peel is always sequential.  `1` forces the sequential
+    /// reference paths; higher values are safe on any machine because every
+    /// parallel kernel is **bit-identical** to its sequential counterpart.  `0` restores the default (the
     /// `DCS_SOLVER_THREADS` environment variable, else 1).
     pub fn with_threads(mut self, threads: usize) -> Self {
         self.threads = if threads == 0 { None } else { Some(threads) };
@@ -571,15 +571,10 @@ impl ContrastSolver for PeelSolver {
     fn solve_in(&self, gd: &SignedGraph, cx: &SolveContext) -> EngineSolution {
         let mut meter = cx.meter();
         let mut ws = cx.workspace();
-        let threads = cx.threads();
-        let ws = &mut *ws;
-        let (peel, _) = dcs_densest::greedy_peeling_view_auto(
-            GraphView::full(gd),
-            &mut ws.peel,
-            &mut ws.par_peel,
-            threads,
-            |units| !meter.tick(units),
-        );
+        let (peel, _) =
+            dcs_densest::greedy_peeling_view_into(GraphView::full(gd), &mut ws.peel, |units| {
+                !meter.tick(units)
+            });
         meter.note_candidates(1);
         EngineSolution {
             objective: peel.average_degree,

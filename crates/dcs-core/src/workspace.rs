@@ -1,7 +1,7 @@
 //! Reusable solver scratch state, carried through [`crate::engine::SolveContext`].
 //!
 //! Every solve used to allocate its working buffers from scratch: degree arrays and
-//! a fresh lazy heap per greedy peel, a whole flow network per Goldberg binary-search
+//! a fresh heap per greedy peel, a whole flow network per Goldberg binary-search
 //! round, smart-initialisation order vectors per NewSEA sweep, and `FxHashMap`-backed
 //! embeddings per SEACD shrink, expansion and refinement stage.  For a one-off batch
 //! mine that is noise; for the steady-state paths — the streaming monitor's cadence
@@ -22,7 +22,7 @@
 
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
-use dcs_densest::{FlowNetwork, ParallelPeelWorkspace, PeelWorkspace};
+use dcs_densest::{FlowNetwork, PeelWorkspace};
 use dcs_graph::{VertexId, VertexSubset, Weight};
 
 use crate::dcsga::DcsgaScratch;
@@ -34,11 +34,8 @@ use crate::dcsga::DcsgaScratch;
 /// tests assert workspace-reusing solves are identical to fresh-workspace solves.
 #[derive(Debug)]
 pub struct SolverWorkspace {
-    /// Greedy-peel scratch (lazy heap, degree/version/alive arrays, removal order).
+    /// Greedy-peel scratch (indexed heap, degree/alive arrays, removal order).
     pub peel: PeelWorkspace,
-    /// Parallel-peel scratch (shared atomics, per-range scan slots, dirty heap)
-    /// used when the context carries a parallelism budget above 1.
-    pub par_peel: ParallelPeelWorkspace,
     /// Max-flow arena of the Goldberg exact solver.
     pub flow: FlowNetwork,
     /// NewSEA smart-initialisation order `(vertex, µ_u)`, sorted descending.
@@ -60,7 +57,6 @@ impl Default for SolverWorkspace {
     fn default() -> Self {
         SolverWorkspace {
             peel: PeelWorkspace::new(),
-            par_peel: ParallelPeelWorkspace::new(),
             flow: FlowNetwork::new(0),
             init_order: Vec::new(),
             max_incident: Vec::new(),

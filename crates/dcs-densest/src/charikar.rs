@@ -11,13 +11,12 @@
 
 use dcs_graph::{GraphView, SignedGraph, VertexId, Weight};
 
-use crate::peel::{Entry, MinDegreeQueue, PeelWorkspace, RescanQueue};
+use crate::peel::{IndexedHeap, MinDegreeQueue, PeelWorkspace, RescanQueue, SegmentTreeQueue};
 
 /// Granularity (in vertices) of the partial sums used to fold the initial
-/// total degree.  Float addition is not associative, so the sequential and
-/// parallel peels both accumulate per-chunk sums over ascending vertex ids and
-/// fold them in ascending chunk order; parallel worker ranges are chunk-aligned,
-/// making the two inits **bit-identical** by construction.
+/// total degree: per-chunk sums over ascending vertex ids, folded in ascending
+/// chunk order.  Float addition is not associative, so this fixed shape is part
+/// of every peel's bit-for-bit result.
 pub(crate) const DEGREE_CHUNK: usize = 64;
 
 /// Result of a greedy peeling run.
@@ -39,7 +38,7 @@ pub struct PeelingProfile {
     pub densities: Vec<Weight>,
 }
 
-/// Runs greedy peeling with the lazy-heap priority structure.
+/// Runs greedy peeling with the indexed-heap priority structure.
 pub fn greedy_peeling(g: &SignedGraph) -> PeelingResult {
     greedy_peeling_view_into(GraphView::full(g), &mut PeelWorkspace::new(), |_| false).0
 }
@@ -72,16 +71,37 @@ pub fn greedy_peeling_view_into<F: FnMut(u64) -> bool>(
     ws: &mut PeelWorkspace,
     stop: F,
 ) -> (PeelingResult, bool) {
-    greedy_peeling_view_impl(view, ws, stop, None)
+    // The heap lives in the workspace; take it out for the peel so the driver can
+    // borrow both, then hand it (and its capacity) back.
+    let mut heap = std::mem::take(&mut ws.heap);
+    let out = peel_view(view, ws, &mut heap, stop, None);
+    ws.heap = heap;
+    out
 }
 
-/// The one peel implementation behind [`greedy_peeling`], [`greedy_peeling_until`],
-/// [`greedy_peeling_view_into`] and [`greedy_peeling_with_profile`] (the ablation
-/// queue variants in [`crate::peel`] keep their own generic driver).  `profile`
-/// optionally records the removal order and per-step densities.
-fn greedy_peeling_view_impl<F: FnMut(u64) -> bool>(
+/// [`greedy_peeling_view_into`] driven by any [`MinDegreeQueue`] — the lazy heap,
+/// the segment tree, the re-scan baseline — built fresh for this peel.  Every
+/// structure pops the alive vertex of minimum `(degree, vertex id)` and the driver
+/// performs the same float operations, so all of them produce the same removal
+/// order (readable from `ws`), best subset and density bits; the ablation benches
+/// time them against each other and the peel property tests use the lazy heap as
+/// the reference.
+pub fn greedy_peeling_view_with<Q: MinDegreeQueue, F: FnMut(u64) -> bool>(
     view: GraphView<'_>,
     ws: &mut PeelWorkspace,
+    stop: F,
+) -> (PeelingResult, bool) {
+    let mut queue = Q::default();
+    peel_view(view, ws, &mut queue, stop, None)
+}
+
+/// The one peel implementation behind every entry point.  `queue` is rebuilt with
+/// the view's alive vertices at their initial degrees; `profile` optionally records the removal order and
+/// per-step densities.
+fn peel_view<Q: MinDegreeQueue, F: FnMut(u64) -> bool>(
+    view: GraphView<'_>,
+    ws: &mut PeelWorkspace,
+    queue: &mut Q,
     mut stop: F,
     mut profile: Option<&mut PeelingProfile>,
 ) -> (PeelingResult, bool) {
@@ -104,28 +124,30 @@ fn greedy_peeling_view_impl<F: FnMut(u64) -> bool>(
     for v in view.vertices() {
         ws.alive[v as usize] = true;
     }
-    let init_positive_only = view.is_positive_only();
-    // Chunked total-degree accumulation (see `DEGREE_CHUNK`): per-chunk sums in
-    // ascending vertex order, folded in ascending chunk order — the same float
-    // operations, in the same order, as the chunk-aligned parallel init.
+    // The relax loop below iterates the raw CSR rows too: `ws.alive` subsumes the
+    // mask test, so the hottest pass of the peel pays no per-edge view
+    // indirection.  Only the sign filter (for positive-filtered views) remains.
+    let positive_only = view.is_positive_only();
+    let graph = view.graph();
+    // Chunked total-degree accumulation (see `DEGREE_CHUNK`), fused with queuing
+    // every alive vertex at its initial degree.
     ws.chunk_sums.resize(n.div_ceil(DEGREE_CHUNK), 0.0);
-    for v in view.vertices() {
-        let (nbrs, nbr_weights) = view.graph().neighbor_slices(v);
-        let mut d: Weight = 0.0;
-        for (&u, &w) in nbrs.iter().zip(nbr_weights) {
-            if (init_positive_only && w <= 0.0) || !ws.alive[u as usize] {
-                continue;
+    let (alive, chunk_sums) = (&ws.alive, &mut ws.chunk_sums);
+    queue.rebuild(
+        n,
+        view.vertices().map(|v| {
+            let (nbrs, nbr_weights) = graph.neighbor_slices(v);
+            let mut d: Weight = 0.0;
+            for (&u, &w) in nbrs.iter().zip(nbr_weights) {
+                if (positive_only && w <= 0.0) || !alive[u as usize] {
+                    continue;
+                }
+                d += w;
             }
-            d += w;
-        }
-        ws.degree[v as usize] = d;
-        ws.heap.push(Entry {
-            degree: d,
-            vertex: v,
-            version: 0,
-        });
-        ws.chunk_sums[v as usize / DEGREE_CHUNK] += d;
-    }
+            chunk_sums[v as usize / DEGREE_CHUNK] += d;
+            (v, d)
+        }),
+    );
     let mut total_degree: Weight = 0.0;
     for &chunk in ws.chunk_sums.iter() {
         total_degree += chunk;
@@ -138,28 +160,14 @@ fn greedy_peeling_view_impl<F: FnMut(u64) -> bool>(
         p.densities.push(best_density);
     }
     let mut interrupted = false;
-    // The relax loop below iterates the raw CSR rows: `ws.alive` was initialised
-    // from the view's mask, so the alive test subsumes the mask test and the hottest
-    // pass of the peel pays no per-edge view indirection.  Only the sign filter (for
-    // positive-filtered views) remains.
-    let positive_only = view.is_positive_only();
-    let graph = view.graph();
     while alive_count > 1 {
         if stop(1) {
             interrupted = true;
             break;
         }
-        // Lazy-heap pop: skip entries whose vertex was removed or re-prioritised.
-        let v = loop {
-            let entry = ws
-                .heap
-                .pop()
-                .expect("queue not empty while vertices remain");
-            let vi = entry.vertex as usize;
-            if ws.alive[vi] && entry.version == ws.version[vi] {
-                break entry.vertex;
-            }
-        };
+        let (v, _) = queue
+            .pop_min()
+            .expect("queue not empty while vertices remain");
         ws.alive[v as usize] = false;
         // Removing v removes every surviving edge (v, u): the degree-sum drops by
         // twice the degree of v within the remaining subgraph.
@@ -169,16 +177,9 @@ fn greedy_peeling_view_impl<F: FnMut(u64) -> bool>(
             if positive_only && w <= 0.0 {
                 continue;
             }
-            let ui = u as usize;
-            if ws.alive[ui] {
+            if ws.alive[u as usize] {
                 removed_weight += w;
-                ws.degree[ui] -= w;
-                ws.version[ui] += 1;
-                ws.heap.push(Entry {
-                    degree: ws.degree[ui],
-                    vertex: u,
-                    version: ws.version[ui],
-                });
+                queue.adjust(u, -w);
             }
         }
         total_degree -= 2.0 * removed_weight;
@@ -197,28 +198,6 @@ fn greedy_peeling_view_impl<F: FnMut(u64) -> bool>(
     }
     peel_span.set_units((alive_at_start - alive_count) as u64);
 
-    finish_peel(
-        view,
-        ws,
-        best_density,
-        best_size,
-        alive_at_start,
-        interrupted,
-    )
-}
-
-/// The common tail of the sequential and parallel peels: the negative-density
-/// fallback (last survivor alone, found through `ws.alive`) and the best-prefix
-/// reconstruction from `ws.removal_order` / `ws.in_best`.
-pub(crate) fn finish_peel(
-    view: GraphView<'_>,
-    ws: &mut PeelWorkspace,
-    best_density: Weight,
-    best_size: usize,
-    alive_at_start: usize,
-    interrupted: bool,
-) -> (PeelingResult, bool) {
-    let n = view.num_vertices();
     // A single vertex has density 0 by convention; if every encountered prefix had
     // negative density (possible on signed graphs) the best answer is the last
     // surviving vertex alone.
@@ -259,9 +238,10 @@ pub(crate) fn finish_peel(
 /// Runs greedy peeling and also returns the full removal trace.
 pub fn greedy_peeling_with_profile(g: &SignedGraph) -> (PeelingResult, PeelingProfile) {
     let mut profile = PeelingProfile::default();
-    let (res, _) = greedy_peeling_view_impl(
+    let (res, _) = peel_view(
         GraphView::full(g),
         &mut PeelWorkspace::new(),
+        &mut IndexedHeap::default(),
         |_| false,
         Some(&mut profile),
     );
@@ -270,116 +250,22 @@ pub fn greedy_peeling_with_profile(g: &SignedGraph) -> (PeelingResult, PeelingPr
 
 /// Runs greedy peeling with the naive re-scan structure (ablation baseline only).
 pub fn greedy_peeling_rescan(g: &SignedGraph) -> PeelingResult {
-    peel_impl::<RescanQueue, _>(g, false, |_| false).0
+    greedy_peeling_view_with::<RescanQueue, _>(
+        GraphView::full(g),
+        &mut PeelWorkspace::new(),
+        |_| false,
+    )
+    .0
 }
 
 /// Runs greedy peeling with the segment-tree priority structure suggested by the paper.
 pub fn greedy_peeling_segment_tree(g: &SignedGraph) -> PeelingResult {
-    peel_impl::<crate::peel::SegmentTreeQueue, _>(g, false, |_| false).0
-}
-
-fn peel_impl<Q: MinDegreeQueue, F: FnMut(u64) -> bool>(
-    g: &SignedGraph,
-    want_profile: bool,
-    mut stop: F,
-) -> (PeelingResult, Option<PeelingProfile>, bool) {
-    let n = g.num_vertices();
-    if n == 0 {
-        return (
-            PeelingResult {
-                subset: Vec::new(),
-                average_degree: 0.0,
-            },
-            want_profile.then(PeelingProfile::default),
-            false,
-        );
-    }
-
-    let degrees: Vec<Weight> = (0..n).map(|v| g.weighted_degree(v as VertexId)).collect();
-    // W(S) in the degree-sum convention = Σ_v deg(v) for the current S.
-    let mut total_degree: Weight = degrees.iter().sum();
-    let mut queue = Q::from_degrees(&degrees);
-    let mut alive = vec![true; n];
-    let mut alive_count = n;
-
-    let mut best_density = total_degree / n as Weight;
-    let mut best_size = n; // the best prefix is identified by how many vertices remain
-    let mut removal_order: Vec<VertexId> = Vec::with_capacity(n);
-    let mut densities: Vec<Weight> = Vec::new();
-    if want_profile {
-        densities.push(best_density);
-    }
-
-    let mut interrupted = false;
-    while alive_count > 1 {
-        if stop(1) {
-            interrupted = true;
-            break;
-        }
-        let (v, _deg) = queue.pop_min().expect("queue not empty");
-        alive[v as usize] = false;
-        // Removing v removes every edge (v, u) with u alive: the degree-sum drops by
-        // twice the degree of v within the remaining subgraph.
-        let mut removed_weight = 0.0;
-        for e in g.neighbors(v) {
-            if alive[e.neighbor as usize] {
-                removed_weight += e.weight;
-                queue.adjust(e.neighbor, -e.weight);
-            }
-        }
-        total_degree -= 2.0 * removed_weight;
-        alive_count -= 1;
-        removal_order.push(v);
-
-        let density = total_degree / alive_count as Weight;
-        if want_profile {
-            densities.push(density);
-        }
-        if density > best_density {
-            best_density = density;
-            best_size = alive_count;
-        }
-    }
-
-    // A single vertex has density 0 by convention; if every encountered prefix had
-    // negative density (possible on signed graphs) the best answer is the last surviving
-    // vertex alone.
-    if best_density < 0.0 {
-        let last = (0..n as VertexId)
-            .find(|&v| alive[v as usize])
-            .expect("one vertex remains");
-        let result = PeelingResult {
-            subset: vec![last],
-            average_degree: 0.0,
-        };
-        let profile = want_profile.then_some(PeelingProfile {
-            removal_order,
-            densities,
-        });
-        return (result, profile, interrupted);
-    }
-
-    // Reconstruct the best subset: the vertices not among the first (n - best_size)
-    // removals.
-    let removed_prefix = n - best_size;
-    let mut in_best = vec![true; n];
-    for &v in removal_order.iter().take(removed_prefix) {
-        in_best[v as usize] = false;
-    }
-    let subset: Vec<VertexId> = (0..n as VertexId)
-        .filter(|&v| in_best[v as usize])
-        .collect();
-
-    debug_assert_eq!(subset.len(), best_size);
-    let result = PeelingResult {
-        average_degree: best_density,
-        subset,
-    };
-    let profile = want_profile.then_some(PeelingProfile {
-        removal_order,
-        densities,
-    });
-    (result, profile, interrupted)
+    greedy_peeling_view_with::<SegmentTreeQueue, _>(
+        GraphView::full(g),
+        &mut PeelWorkspace::new(),
+        |_| false,
+    )
+    .0
 }
 
 #[cfg(test)]

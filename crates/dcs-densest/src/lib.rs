@@ -6,8 +6,10 @@
 //! * [`charikar`] — greedy peeling (Algorithm 1 of the paper, originally Charikar 2000),
 //!   generalised to graphs with **signed** edge weights.  On non-negative graphs it is a
 //!   2-approximation of the maximum average degree.
-//! * [`peel`] — the priority structure used by peeling (a lazy binary heap keyed by the
-//!   current weighted degree), plus a naive re-scan variant used for ablation benches.
+//! * [`peel`] — the priority structures used by peeling: the indexed 4-ary min-heap of
+//!   the production peel (keyed by the current weighted degree, updated in place), the
+//!   lazy binary heap it is property-tested against, and the segment-tree and naive
+//!   re-scan variants of the ablation benches.
 //! * [`maxflow`] — Dinic's maximum-flow algorithm.
 //! * [`goldberg`] — Goldberg's exact maximum-density-subgraph algorithm (binary search
 //!   over the density combined with min-cut computations) for non-negative weights.
@@ -31,7 +33,6 @@ pub mod charikar;
 pub mod expansion;
 pub mod goldberg;
 pub mod maxflow;
-pub mod parallel_peel;
 pub mod peel;
 pub mod quasi_clique;
 pub mod replicator;
@@ -39,8 +40,8 @@ pub mod sea;
 pub mod simplex;
 
 pub use charikar::{
-    greedy_peeling, greedy_peeling_until, greedy_peeling_view_into, greedy_peeling_with_profile,
-    PeelingProfile, PeelingResult,
+    greedy_peeling, greedy_peeling_until, greedy_peeling_view_into, greedy_peeling_view_with,
+    greedy_peeling_with_profile, PeelingProfile, PeelingResult,
 };
 pub use expansion::{
     expansion_candidates, expansion_candidates_view, expansion_candidates_view_par, expansion_step,
@@ -51,10 +52,6 @@ pub use goldberg::{
     DensestSubgraph,
 };
 pub use maxflow::FlowNetwork;
-pub use parallel_peel::{
-    greedy_peeling_parallel_view_into, greedy_peeling_view_auto, ParallelPeelWorkspace,
-    PARALLEL_PEEL_THRESHOLD,
-};
 pub use peel::PeelWorkspace;
 pub use quasi_clique::{greedy_quasi_clique, local_search_quasi_clique, QuasiCliqueResult};
 pub use replicator::{replicator_dynamics, ReplicatorStop};

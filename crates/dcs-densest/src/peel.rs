@@ -1,23 +1,27 @@
 //! Priority structures for greedy peeling.
 //!
 //! Greedy peeling repeatedly removes the vertex of minimum *current* weighted degree and
-//! must update the degrees of its neighbors.  The paper suggests a segment tree; we use a
-//! lazy binary heap (entries are invalidated by bumping a per-vertex version counter)
-//! which has the same `O((n + m) log n)` complexity and a considerably smaller constant
-//! in practice.  A naive `O(n)`-per-extraction re-scan implementation is provided for the
-//! ablation benchmark `bench_peeling`.
+//! must update the degrees of its neighbors.  The paper suggests a segment tree; the
+//! production peel uses an [`IndexedHeap`] — a 4-ary min-heap with one slot per queued
+//! vertex and a position index, so a degree change sifts the vertex in place (up or
+//! down: negative edges can *raise* a degree) and no stale entries ever pile up.  It
+//! has the same `O((n + m) log n)` complexity as the lazy binary heap
+//! ([`LazyHeapQueue`], kept for the quasi-clique peel and as the reference the peel
+//! property tests compare against) with a considerably smaller constant.  A naive
+//! `O(n)`-per-extraction re-scan implementation is provided for the ablation
+//! benchmark `bench_peeling`.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
 use dcs_graph::{VertexId, Weight};
 
-/// Heap entry: (current degree, vertex, version at insertion time).
+/// Lazy-heap entry: (current degree, vertex, version at insertion time).
 #[derive(Debug, Clone, Copy)]
-pub(crate) struct Entry {
-    pub(crate) degree: Weight,
-    pub(crate) vertex: VertexId,
-    pub(crate) version: u32,
+struct Entry {
+    degree: Weight,
+    vertex: VertexId,
+    version: u32,
 }
 
 impl PartialEq for Entry {
@@ -43,26 +47,21 @@ impl PartialOrd for Entry {
     }
 }
 
-/// Reusable scratch state of a greedy peel: the lazy heap, per-vertex degree /
-/// version / alive arrays, the removal order and the best-prefix marks.
+/// Reusable scratch state of a greedy peel: the indexed heap (which owns the current
+/// degrees), the alive array, the removal order and the best-prefix marks.
 ///
 /// A peel allocates all of this on first use and a **reused** workspace performs no
-/// heap allocation at all in steady state (the `BinaryHeap` and every `Vec` keep
-/// their capacity across internal resets).  One workspace serves any number of
-/// sequential peels of graphs of any size; it is the peel-shaped slice of
-/// `dcs_core`'s `SolverWorkspace`.
+/// heap allocation at all in steady state (every `Vec` keeps its capacity across
+/// internal resets).  One workspace serves any number of sequential peels of graphs
+/// of any size; it is the peel-shaped slice of `dcs_core`'s `SolverWorkspace`.
 #[derive(Debug, Clone, Default)]
 pub struct PeelWorkspace {
-    pub(crate) heap: BinaryHeap<Entry>,
-    pub(crate) degree: Vec<Weight>,
-    pub(crate) version: Vec<u32>,
+    pub(crate) heap: IndexedHeap,
     pub(crate) alive: Vec<bool>,
     pub(crate) removal_order: Vec<VertexId>,
     pub(crate) in_best: Vec<bool>,
     /// Per-chunk partial sums of the initial degrees (see
-    /// [`crate::charikar::DEGREE_CHUNK`]): the total degree is folded from these
-    /// in ascending chunk order so the sequential and parallel peels perform the
-    /// exact same float additions.
+    /// [`crate::charikar::DEGREE_CHUNK`]), folded in ascending chunk order.
     pub(crate) chunk_sums: Vec<Weight>,
 }
 
@@ -75,11 +74,6 @@ impl PeelWorkspace {
     /// Clears every buffer and re-sizes the per-vertex arrays for a universe of `n`
     /// vertices, keeping all allocated capacity.
     pub(crate) fn reset(&mut self, n: usize) {
-        self.heap.clear();
-        self.degree.clear();
-        self.degree.resize(n, 0.0);
-        self.version.clear();
-        self.version.resize(n, 0);
         self.alive.clear();
         self.alive.resize(n, false);
         self.removal_order.clear();
@@ -88,18 +82,28 @@ impl PeelWorkspace {
         self.chunk_sums.clear();
     }
 
-    /// The vertices removed by the most recent peel, in removal order.  The
-    /// sequential and parallel peels produce the exact same sequence — this is
-    /// the surface the bit-identity property tests compare.
+    /// The vertices removed by the most recent peel, in removal order — the surface
+    /// the peel property tests compare across priority structures.
     pub fn removal_order(&self) -> &[VertexId] {
         &self.removal_order
     }
 }
 
 /// Common interface of the peeling priority structures.
-pub trait MinDegreeQueue {
-    /// Creates the structure from the initial weighted degrees.
-    fn from_degrees(degrees: &[Weight]) -> Self;
+pub trait MinDegreeQueue: Default {
+    /// Creates the structure holding every vertex of `degrees` with that initial degree.
+    fn from_degrees(degrees: &[Weight]) -> Self {
+        let mut queue = Self::default();
+        queue.rebuild(
+            degrees.len(),
+            degrees.iter().enumerate().map(|(v, &d)| (v as VertexId, d)),
+        );
+        queue
+    }
+    /// Re-initialises the structure over the vertex ids `0..n`, holding exactly the
+    /// `(vertex, initial degree)` pairs of `queued` (each vertex at most once; the
+    /// others count as already popped).  Implementations keep their allocated capacity.
+    fn rebuild(&mut self, n: usize, queued: impl IntoIterator<Item = (VertexId, Weight)>);
     /// Removes and returns the alive vertex with the minimum current degree.
     fn pop_min(&mut self) -> Option<(VertexId, Weight)>;
     /// Adds `delta` to the current degree of `v` (no effect if `v` was already popped).
@@ -113,7 +117,7 @@ pub trait MinDegreeQueue {
 }
 
 /// Lazy binary-heap implementation of [`MinDegreeQueue`].
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct LazyHeapQueue {
     heap: BinaryHeap<Entry>,
     degree: Vec<Weight>,
@@ -123,22 +127,25 @@ pub struct LazyHeapQueue {
 }
 
 impl MinDegreeQueue for LazyHeapQueue {
-    fn from_degrees(degrees: &[Weight]) -> Self {
-        let n = degrees.len();
-        let mut heap = BinaryHeap::with_capacity(n);
-        for (v, &d) in degrees.iter().enumerate() {
-            heap.push(Entry {
+    fn rebuild(&mut self, n: usize, queued: impl IntoIterator<Item = (VertexId, Weight)>) {
+        self.heap.clear();
+        self.heap.reserve(n);
+        self.degree.clear();
+        self.degree.resize(n, 0.0);
+        self.version.clear();
+        self.version.resize(n, 0);
+        self.alive.clear();
+        self.alive.resize(n, false);
+        self.alive_count = 0;
+        for (v, d) in queued {
+            self.degree[v as usize] = d;
+            self.alive[v as usize] = true;
+            self.alive_count += 1;
+            self.heap.push(Entry {
                 degree: d,
-                vertex: v as VertexId,
+                vertex: v,
                 version: 0,
             });
-        }
-        LazyHeapQueue {
-            heap,
-            degree: degrees.to_vec(),
-            version: vec![0; n],
-            alive: vec![true; n],
-            alive_count: n,
         }
     }
 
@@ -174,11 +181,151 @@ impl MinDegreeQueue for LazyHeapQueue {
     }
 }
 
+/// Indexed 4-ary min-heap implementation of [`MinDegreeQueue`] — the structure behind
+/// the production peel.
+///
+/// Every queued vertex owns exactly one slot, and `pos[v]` records where it is, so
+/// [`MinDegreeQueue::adjust`] rewrites the vertex's key in place and sifts it up or
+/// down.  Keys are `(order-preserving bits of degree + 0.0, vertex id)`: adding `0.0`
+/// folds `-0.0` into `0.0`, so the heap orders exactly like the lazy heap's
+/// `partial_cmp` with the vertex-id tie-break and every peel removes vertices in the
+/// same sequence.  [`MinDegreeQueue::rebuild`] keeps all capacity, so a reused heap
+/// allocates nothing.
+#[derive(Debug, Clone, Default)]
+pub struct IndexedHeap {
+    /// Heap-ordered `(key, vertex)` slots; `slots[0]` is the minimum.
+    slots: Vec<(u64, VertexId)>,
+    /// Slot index of each vertex, or [`NOT_QUEUED`] if it was popped or never queued.
+    pos: Vec<u32>,
+    /// Current degree of each queued vertex (the peel keeps no other degree array).
+    degree: Vec<Weight>,
+}
+
+const ARITY: usize = 4;
+const NOT_QUEUED: u32 = u32::MAX;
+
+/// Maps a degree to a `u64` whose unsigned order is the float order of the degree,
+/// with `-0.0` and `0.0` mapped to the same key.
+#[inline]
+fn degree_key(degree: Weight) -> u64 {
+    debug_assert!(!degree.is_nan(), "peel degrees are never NaN");
+    let bits = (degree + 0.0).to_bits();
+    if bits >> 63 == 1 {
+        !bits
+    } else {
+        bits | (1 << 63)
+    }
+}
+
+impl IndexedHeap {
+    #[inline]
+    fn place(&mut self, i: usize, item: (u64, VertexId)) {
+        self.slots[i] = item;
+        self.pos[item.1 as usize] = i as u32;
+    }
+
+    fn sift_up(&mut self, mut i: usize) {
+        let item = self.slots[i];
+        while i > 0 {
+            let parent = (i - 1) / ARITY;
+            let above = self.slots[parent];
+            if above <= item {
+                break;
+            }
+            self.place(i, above);
+            i = parent;
+        }
+        self.place(i, item);
+    }
+
+    fn sift_down(&mut self, mut i: usize) {
+        let item = self.slots[i];
+        let len = self.slots.len();
+        loop {
+            let first = ARITY * i + 1;
+            if first >= len {
+                break;
+            }
+            let mut child = first;
+            let mut least = self.slots[first];
+            for c in first + 1..(first + ARITY).min(len) {
+                if self.slots[c] < least {
+                    child = c;
+                    least = self.slots[c];
+                }
+            }
+            if item <= least {
+                break;
+            }
+            self.place(i, least);
+            i = child;
+        }
+        self.place(i, item);
+    }
+}
+
+impl MinDegreeQueue for IndexedHeap {
+    fn rebuild(&mut self, n: usize, queued: impl IntoIterator<Item = (VertexId, Weight)>) {
+        self.degree.clear();
+        self.degree.resize(n, 0.0);
+        self.pos.clear();
+        self.pos.resize(n, NOT_QUEUED);
+        self.slots.clear();
+        // One reservation up front (`queued` rarely knows its length); pages of
+        // slots never written for masked-out vertices are never touched.
+        self.slots.reserve(n);
+        for (v, d) in queued {
+            self.degree[v as usize] = d;
+            self.pos[v as usize] = self.slots.len() as u32;
+            self.slots.push((degree_key(d), v));
+        }
+        // Floyd's bottom-up heapify: sift down every internal slot, last first.
+        for i in (0..self.slots.len().div_ceil(ARITY)).rev() {
+            self.sift_down(i);
+        }
+    }
+
+    fn pop_min(&mut self) -> Option<(VertexId, Weight)> {
+        let top = *self.slots.first()?;
+        let last = self.slots.pop().expect("heap is non-empty");
+        if !self.slots.is_empty() {
+            self.place(0, last);
+            self.sift_down(0);
+        }
+        let v = top.1 as usize;
+        self.pos[v] = NOT_QUEUED;
+        Some((top.1, self.degree[v]))
+    }
+
+    #[inline]
+    fn adjust(&mut self, v: VertexId, delta: Weight) {
+        let vi = v as usize;
+        let i = self.pos[vi];
+        if i == NOT_QUEUED {
+            return;
+        }
+        let i = i as usize;
+        self.degree[vi] += delta;
+        let old = self.slots[i].0;
+        let key = degree_key(self.degree[vi]);
+        self.slots[i].0 = key;
+        match key.cmp(&old) {
+            Ordering::Less => self.sift_up(i),
+            Ordering::Greater => self.sift_down(i),
+            Ordering::Equal => {}
+        }
+    }
+
+    fn len(&self) -> usize {
+        self.slots.len()
+    }
+}
+
 /// Naive re-scan implementation of [`MinDegreeQueue`]: `pop_min` is `O(n)`.
 ///
 /// Kept only as the baseline of the `bench_peeling` ablation; do not use for large
 /// graphs.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct RescanQueue {
     degree: Vec<Weight>,
     alive: Vec<bool>,
@@ -186,11 +333,16 @@ pub struct RescanQueue {
 }
 
 impl MinDegreeQueue for RescanQueue {
-    fn from_degrees(degrees: &[Weight]) -> Self {
-        RescanQueue {
-            degree: degrees.to_vec(),
-            alive: vec![true; degrees.len()],
-            alive_count: degrees.len(),
+    fn rebuild(&mut self, n: usize, queued: impl IntoIterator<Item = (VertexId, Weight)>) {
+        self.degree.clear();
+        self.degree.resize(n, 0.0);
+        self.alive.clear();
+        self.alive.resize(n, false);
+        self.alive_count = 0;
+        for (v, d) in queued {
+            self.degree[v as usize] = d;
+            self.alive[v as usize] = true;
+            self.alive_count += 1;
         }
     }
 
@@ -229,7 +381,7 @@ impl MinDegreeQueue for RescanQueue {
 /// constant; unlike the lazy heap it never accumulates stale entries, which makes it the
 /// better choice when the number of `adjust` calls per removal is large (very dense
 /// graphs).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct SegmentTreeQueue {
     /// Number of leaves (padded to the next power of two).
     size: usize,
@@ -255,25 +407,26 @@ impl SegmentTreeQueue {
 }
 
 impl MinDegreeQueue for SegmentTreeQueue {
-    fn from_degrees(degrees: &[Weight]) -> Self {
-        let n = degrees.len();
-        let size = n.next_power_of_two().max(1);
-        let mut queue = SegmentTreeQueue {
-            size,
-            tree: vec![(Weight::INFINITY, 0); 2 * size],
-            degree: degrees.to_vec(),
-            alive: vec![true; n],
-            alive_count: n,
-        };
-        for (v, &d) in degrees.iter().enumerate() {
-            queue.tree[size + v] = (d, v as VertexId);
+    fn rebuild(&mut self, n: usize, queued: impl IntoIterator<Item = (VertexId, Weight)>) {
+        self.size = n.next_power_of_two().max(1);
+        self.tree.clear();
+        self.tree.resize(2 * self.size, (Weight::INFINITY, 0));
+        self.degree.clear();
+        self.degree.resize(n, 0.0);
+        self.alive.clear();
+        self.alive.resize(n, false);
+        self.alive_count = 0;
+        for (v, d) in queued {
+            self.degree[v as usize] = d;
+            self.alive[v as usize] = true;
+            self.alive_count += 1;
+            self.tree[self.size + v as usize] = (d, v);
         }
-        for i in (1..size).rev() {
-            let left = queue.tree[2 * i];
-            let right = queue.tree[2 * i + 1];
-            queue.tree[i] = if left.0 <= right.0 { left } else { right };
+        for i in (1..self.size).rev() {
+            let left = self.tree[2 * i];
+            let right = self.tree[2 * i + 1];
+            self.tree[i] = if left.0 <= right.0 { left } else { right };
         }
-        queue
     }
 
     fn pop_min(&mut self) -> Option<(VertexId, Weight)> {

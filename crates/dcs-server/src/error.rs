@@ -16,6 +16,12 @@ pub enum ServerError {
         /// Suggested client backoff before retrying, in milliseconds.
         retry_after_ms: u64,
     },
+    /// A request line exceeded [`crate::MAX_REQUEST_BYTES`]; the server
+    /// answers once and closes the connection.
+    RequestTooLarge {
+        /// The line limit, in bytes.
+        max_request_bytes: usize,
+    },
     /// The underlying mining library rejected the input.
     Dcs(dcs_core::DcsError),
     /// Opening or decoding a binary graph pack failed.
@@ -41,6 +47,7 @@ impl std::fmt::Display for ServerError {
             ServerError::SessionExists(name) => write!(f, "session {name:?} already exists"),
             ServerError::Busy => write!(f, "server busy: job queue full"),
             ServerError::Overloaded { .. } => write!(f, "overloaded"),
+            ServerError::RequestTooLarge { .. } => write!(f, "request_too_large"),
             ServerError::Dcs(e) => write!(f, "{e}"),
             ServerError::Pack(e) => write!(f, "cannot load graph pack: {e}"),
             ServerError::UnsupportedProto { requested } => write!(
@@ -100,6 +107,13 @@ mod tests {
         assert_eq!(
             ServerError::Overloaded { retry_after_ms: 50 }.to_string(),
             "overloaded"
+        );
+        assert_eq!(
+            ServerError::RequestTooLarge {
+                max_request_bytes: 8
+            }
+            .to_string(),
+            "request_too_large"
         );
         assert!(ServerError::ConnectionClosed.to_string().contains("closed"));
         assert_eq!(

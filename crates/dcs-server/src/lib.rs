@@ -147,7 +147,12 @@
 //! shed excess load immediately with
 //! `{"ok": false, "error": "overloaded", "retry_after_ms": n}` — the hint
 //! scales with queue depth so well-behaved clients back off harder as
-//! pressure rises.  Shed counts, per-shard queue depths, mailbox high-water
+//! pressure rises.  Input is bounded too: a request line longer than
+//! [`MAX_REQUEST_BYTES`] (4 MiB) is answered with
+//! `{"ok": false, "error": "request_too_large", "max_request_bytes": n}`
+//! after every earlier request on the connection; the server then half-closes
+//! the connection, discards further input until the peer closes (or a few
+//! seconds pass), and closes it.  Shed counts, per-shard queue depths, mailbox high-water
 //! marks and accept/read/write event counters are all exported in the
 //! server-wide `stats` payload (the `io` and `shards` blocks below).
 //!
@@ -180,10 +185,11 @@
 //!   server started;
 //! * `queue.shard_depths: [n…]` — pending mining jobs per pool shard;
 //! * `io: {threads, backend, accepts, read_events, write_events,
-//!   connections_opened, connections_open, shed}` — the serving tier:
-//!   event-loop backend (`"epoll"` / `"poll"`), accepted connections,
-//!   readiness events handled, and how many requests were answered
-//!   `overloaded`;
+//!   connections_opened, connections_open, shed, requests_too_large}` — the
+//!   serving tier: event-loop backend (`"epoll"` / `"poll"`), accepted
+//!   connections, readiness events handled, how many requests were answered
+//!   `overloaded`, and how many connections were closed for an over-long
+//!   request line;
 //! * `shards: [{sessions, cache: {hits, misses, hit_rate},
 //!   mailbox: {pending, high_water, shed}}…]` — one entry per registry
 //!   shard: its session count, its result-cache hit rate (the `cache` block
@@ -278,7 +284,7 @@ pub use protocol::{
     alert_to_json, parse_measure, report_to_json, stats_to_json, CreateSessionRequest, JobBounds,
     Request, Response, PROTO_VERSION,
 };
-pub use server::{Server, ServerHandle};
+pub use server::{Server, ServerHandle, MAX_REQUEST_BYTES};
 pub use session::{ObserveMailbox, Session, SessionRegistry, SessionStats, ShardStats};
 
 /// Configuration of a [`Server`].
@@ -301,7 +307,8 @@ pub struct ServerConfig {
     /// is not.
     pub max_job_ms: Option<u64>,
     /// Intra-solve parallelism: the number of threads each mining job may use
-    /// *inside* a single solve (parallel peeling, parallel KKT scans).  `0`
+    /// *inside* a single solve (the DCSGA µ_u sweep and KKT scans; the greedy
+    /// peel is sequential).  `0`
     /// (the default) inherits the process-wide `DCS_SOLVER_THREADS`
     /// environment default (itself defaulting to 1).  Distinct from
     /// [`ServerConfig::worker_threads`], which controls how many jobs run

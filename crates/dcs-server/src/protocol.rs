@@ -194,8 +194,14 @@ pub fn ok_response(request: &Value, mut body: Value) -> Value {
 /// `retry_after_ms` backoff hint so well-behaved clients can pace retries.
 pub fn error_response(request: &Value, error: &ServerError) -> Value {
     let mut body = json!({ "ok": false, "error": error.to_string() });
-    if let ServerError::Overloaded { retry_after_ms } = error {
-        body["retry_after_ms"] = json!(retry_after_ms);
+    match error {
+        ServerError::Overloaded { retry_after_ms } => {
+            body["retry_after_ms"] = json!(retry_after_ms);
+        }
+        ServerError::RequestTooLarge { max_request_bytes } => {
+            body["max_request_bytes"] = json!(max_request_bytes);
+        }
+        _ => {}
     }
     body["proto"] = json!(PROTO_VERSION);
     echo_id(request, &mut body);

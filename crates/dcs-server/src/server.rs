@@ -20,7 +20,7 @@
 
 use std::collections::VecDeque;
 use std::io::{ErrorKind, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::os::unix::io::{AsRawFd, RawFd};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
@@ -60,6 +60,23 @@ const READ_CHUNK: usize = 16 * 1024;
 /// pipelining flood would otherwise buffer unboundedly in memory).
 const MAX_PIPELINE: usize = 128;
 
+/// Longest request line a connection may send, in bytes (the newline not
+/// counted).  A longer line — complete or still arriving — is answered with
+/// a structured `request_too_large` error and the connection is closed, so
+/// one peer never makes the server buffer more than this (plus one read
+/// pass) on its behalf.
+pub const MAX_REQUEST_BYTES: usize = 4 << 20;
+
+/// After answering `request_too_large`, a connection half-closes and keeps
+/// reading (and discarding) the peer's input until the peer closes, this much
+/// time passes, or [`LINGER_BYTES`] arrive.  Closing a socket with unread
+/// input sends a reset, which can destroy the error reply before the peer
+/// reads it.
+const LINGER_CAP: Duration = Duration::from_secs(5);
+
+/// Input discarded from a lingering connection before it is closed anyway.
+const LINGER_BYTES: usize = 64 << 20;
+
 /// After shutdown, how long the event loops keep flushing connections that
 /// have no job in flight before force-closing what remains.
 const SHUTDOWN_DRAIN_CAP: Duration = Duration::from_secs(5);
@@ -80,6 +97,8 @@ struct IoStats {
     closed: AtomicU64,
     /// Requests answered with `overloaded` (queue full or mailbox full).
     shed: AtomicU64,
+    /// Connections closed for a request line over [`MAX_REQUEST_BYTES`].
+    requests_too_large: AtomicU64,
 }
 
 /// Mailbox and waker of one I/O event loop: the accept thread posts new
@@ -344,6 +363,21 @@ enum Dispatch {
     Pooled { cancel: Option<CancelToken> },
 }
 
+/// Progress of a connection through the over-long-line rejection.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Oversized {
+    No,
+    /// Detected; the error reply is queued once the earlier requests finish.
+    Pending,
+    /// The error reply is queued; the connection lingers once it is flushed.
+    Answered,
+    /// Write side shut down; input is read and dropped until the peer closes
+    /// or a linger cap is reached (see [`LINGER_CAP`]).
+    Lingering {
+        discarded: usize,
+    },
+}
+
 /// One connection's state machine.
 struct Conn {
     /// Monotone per event loop; guards slot reuse against stale `JobDone`s.
@@ -364,6 +398,10 @@ struct Conn {
     dead: bool,
     /// Write-backpressured: trips at [`HIGH_WATER`], clears at [`LOW_WATER`].
     throttled: bool,
+    /// A request line exceeded [`MAX_REQUEST_BYTES`]: reading stopped, the
+    /// bytes were dropped, and the connection answers `request_too_large`
+    /// after its earlier requests, then lingers and closes.
+    oversized: Oversized,
     registered: bool,
     interest: Interest,
 }
@@ -383,6 +421,7 @@ impl Conn {
             eof: false,
             dead: false,
             throttled: false,
+            oversized: Oversized::No,
             registered: true,
             interest: Interest::READABLE,
         }
@@ -402,19 +441,30 @@ impl Conn {
 
     /// Splits complete lines out of `read_buf` (incremental: the scan resumes
     /// where the last one stopped, so a slowly arriving giant line is not
-    /// rescanned from the start on every read).
+    /// rescanned from the start on every read).  A line — complete or still
+    /// arriving — longer than [`MAX_REQUEST_BYTES`] marks the connection
+    /// [`Oversized::Pending`] and drops everything from that line on.
     fn parse_lines(&mut self) {
         let mut start = 0usize;
         let mut index = self.scan_from;
-        while index < self.read_buf.len() {
+        while index < self.read_buf.len() && self.oversized == Oversized::No {
             if self.read_buf[index] == b'\n' {
+                if index - start > MAX_REQUEST_BYTES {
+                    self.oversized = Oversized::Pending;
+                    break;
+                }
                 let line = String::from_utf8_lossy(&self.read_buf[start..index]).into_owned();
                 self.lines.push_back(line);
                 start = index + 1;
             }
             index += 1;
         }
-        if start > 0 {
+        if self.oversized == Oversized::No && self.read_buf.len() - start > MAX_REQUEST_BYTES {
+            self.oversized = Oversized::Pending;
+        }
+        if self.oversized != Oversized::No {
+            self.read_buf.clear();
+        } else if start > 0 {
             self.read_buf.drain(..start);
         }
         self.scan_from = self.read_buf.len();
@@ -423,7 +473,13 @@ impl Conn {
     /// Drains readable bytes (bounded per event so one firehose connection
     /// cannot starve the loop; level-triggered polling re-reports leftovers).
     fn fill_read(&mut self) {
-        if self.eof || self.dead || self.throttled || self.lines.len() >= MAX_PIPELINE {
+        let lingering = matches!(self.oversized, Oversized::Lingering { .. });
+        if self.eof
+            || self.dead
+            || self.throttled
+            || (self.oversized != Oversized::No && !lingering)
+            || self.lines.len() >= MAX_PIPELINE
+        {
             return;
         }
         let mut chunk = [0u8; READ_CHUNK];
@@ -434,7 +490,16 @@ impl Conn {
                     return;
                 }
                 Ok(n) => {
-                    self.read_buf.extend_from_slice(&chunk[..n]);
+                    if let Oversized::Lingering { discarded } = &mut self.oversized {
+                        *discarded += n;
+                        if *discarded > LINGER_BYTES {
+                            // Give up on the peer: close as if it had.
+                            self.eof = true;
+                            return;
+                        }
+                    } else {
+                        self.read_buf.extend_from_slice(&chunk[..n]);
+                    }
                     if n < chunk.len() {
                         return;
                     }
@@ -494,6 +559,8 @@ struct IoLoop {
     conns: Vec<Option<Conn>>,
     free: Vec<usize>,
     next_conn_id: u64,
+    /// `(deadline, slot, conn id)` of lingering connections, oldest first.
+    lingering: VecDeque<(Instant, usize, u64)>,
 }
 
 impl IoLoop {
@@ -505,6 +572,7 @@ impl IoLoop {
             conns: Vec::new(),
             free: Vec::new(),
             next_conn_id: 1,
+            lingering: VecDeque::new(),
         }
     }
 
@@ -564,9 +632,27 @@ impl IoLoop {
                     } => self.job_done(slot, conn_id, line),
                 }
             }
+            self.expire_lingering();
         }
         for slot in 0..self.conns.len() {
             self.close(slot);
+        }
+    }
+
+    /// Closes lingering connections whose [`LINGER_CAP`] has run out.
+    fn expire_lingering(&mut self) {
+        let now = Instant::now();
+        while let Some(&(deadline, slot, conn_id)) = self.lingering.front() {
+            if deadline > now {
+                break;
+            }
+            self.lingering.pop_front();
+            if self.conns[slot]
+                .as_ref()
+                .is_some_and(|conn| conn.id == conn_id)
+            {
+                self.close(slot);
+            }
         }
     }
 
@@ -638,9 +724,10 @@ impl IoLoop {
                 .write_events
                 .fetch_add(1, Ordering::Relaxed);
         }
-        if event.hangup && !conn.eof {
+        if event.hangup && !conn.eof && !matches!(conn.oversized, Oversized::Lingering { .. }) {
             // Hard hangup (reset / error) without a clean EOF: no more bytes
-            // will arrive.
+            // will arrive.  (A lingering connection reads on to the EOF or
+            // the error instead: closing with input unread sends a reset.)
             conn.eof = true;
         }
         self.pump(slot_of(event));
@@ -689,7 +776,22 @@ impl IoLoop {
                 }
                 match conn.lines.pop_front() {
                     Some(line) => line,
-                    None => break,
+                    None => {
+                        if conn.oversized == Oversized::Pending {
+                            conn.oversized = Oversized::Answered;
+                            let error = ServerError::RequestTooLarge {
+                                max_request_bytes: MAX_REQUEST_BYTES,
+                            };
+                            conn.write_buf.extend_from_slice(
+                                render_line(&error_response(&Value::Null, &error)).as_bytes(),
+                            );
+                            self.shared
+                                .io_stats
+                                .requests_too_large
+                                .fetch_add(1, Ordering::Relaxed);
+                        }
+                        break;
+                    }
                 }
             };
             let conn_id = match self.conns[slot].as_ref() {
@@ -718,10 +820,19 @@ impl IoLoop {
             if conn.dead || (conn.eof && drained) {
                 None // close below
             } else {
+                if conn.oversized == Oversized::Answered && drained {
+                    // The reply is with the kernel: send FIN after it, then
+                    // drain the peer's input so the close sends no reset.
+                    let _ = conn.stream.shutdown(Shutdown::Write);
+                    conn.oversized = Oversized::Lingering { discarded: 0 };
+                    self.lingering
+                        .push_back((Instant::now() + LINGER_CAP, slot, conn.id));
+                }
                 let shutting = self.shared.shutting_down.load(Ordering::SeqCst);
                 let desired = Interest {
                     readable: !conn.eof
                         && !conn.throttled
+                        && matches!(conn.oversized, Oversized::No | Oversized::Lingering { .. })
                         && conn.lines.len() < MAX_PIPELINE
                         && !shutting,
                     writable: conn.unflushed() > 0,
@@ -1289,6 +1400,7 @@ fn stats(name: Option<&str>, shared: &Shared) -> Result<Value, ServerError> {
             "connections_opened": opened,
             "connections_open": opened.saturating_sub(closed),
             "shed": io.shed.load(Ordering::Relaxed),
+            "requests_too_large": io.requests_too_large.load(Ordering::Relaxed),
         });
         payload["shards"] = Value::Array(
             shared

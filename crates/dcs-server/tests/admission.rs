@@ -1,7 +1,8 @@
 //! Admission control and event-loop behavior over a real socket: load
 //! shedding with retry hints, observe-mailbox bounds, write backpressure
 //! that does not stall other connections, cancel-on-disconnect liveness,
-//! and framing parity for a final unterminated request line.
+//! framing parity for a final unterminated request line, and the
+//! request-line size limit.
 //!
 //! These tests speak raw NDJSON over `TcpStream` instead of using
 //! [`dcs_server::Client`], because the client collapses `ok: false`
@@ -12,7 +13,7 @@ use std::io::{BufRead, BufReader, Write};
 use std::net::{Shutdown, SocketAddr, TcpStream};
 use std::time::{Duration, Instant};
 
-use dcs_server::{Server, ServerConfig};
+use dcs_server::{Server, ServerConfig, MAX_REQUEST_BYTES};
 use serde_json::{json, Value};
 
 /// One raw NDJSON connection.
@@ -404,6 +405,149 @@ fn final_unterminated_line_still_parses() {
     // Nothing more arrives and the server closes its side.
     let mut rest = String::new();
     assert_eq!(reader.read_line(&mut rest).expect("eof"), 0);
+
+    handle.shutdown();
+    handle.join();
+}
+
+/// Reads the `request_too_large` reply and then the end of the stream.
+fn expect_rejection_then_eof(reader: &mut BufReader<TcpStream>) {
+    let mut line = String::new();
+    reader.read_line(&mut line).expect("read rejection");
+    let rejected: Value = serde_json::from_str(line.trim()).expect("json");
+    assert_eq!(rejected["ok"], false, "{rejected}");
+    assert_eq!(rejected["error"], "request_too_large");
+    assert_eq!(rejected["max_request_bytes"], MAX_REQUEST_BYTES as u64);
+    assert_eq!(rejected["proto"], 1);
+    // Nothing more arrives: the server shut its side of the connection.
+    let mut rest = String::new();
+    assert_eq!(reader.read_line(&mut rest).expect("read EOF"), 0, "{rest}");
+}
+
+#[test]
+fn oversized_request_line_is_rejected_and_the_server_stays_live() {
+    let (handle, addr) = start_server(ServerConfig {
+        worker_threads: 1,
+        io_threads: 1,
+        ..ServerConfig::default()
+    });
+
+    // A ping, then 8 MiB with no newline: the ping is answered first, then
+    // the over-long line gets the structured error and the server closes.
+    let stream = TcpStream::connect(addr).expect("connect");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(30)))
+        .expect("read timeout");
+    let mut reader = BufReader::new(stream.try_clone().expect("clone"));
+    let mut writer = stream.try_clone().expect("clone");
+    let flood = std::thread::spawn(move || {
+        writer
+            .write_all(b"{\"cmd\":\"ping\",\"id\":1}\n")
+            .expect("send ping");
+        let chunk = vec![b'x'; 64 * 1024];
+        for _ in 0..(8 * 1024 * 1024) / chunk.len() {
+            writer.write_all(&chunk).expect("send flood");
+        }
+    });
+
+    let mut line = String::new();
+    reader.read_line(&mut line).expect("read pong");
+    let pong: Value = serde_json::from_str(line.trim()).expect("json");
+    assert_eq!(pong["pong"], true);
+    assert_eq!(pong["id"], 1);
+    expect_rejection_then_eof(&mut reader);
+    flood.join().expect("flood thread");
+
+    // The server is alive and counted the rejection.
+    let mut ctl = Wire::connect(addr);
+    let pong = ctl.request(&json!({ "cmd": "ping" }));
+    assert_eq!(pong["pong"], true);
+    let stats = ctl.request(&json!({ "cmd": "stats" }));
+    assert_eq!(stats["io"]["requests_too_large"], 1, "{stats}");
+
+    handle.shutdown();
+    handle.join();
+}
+
+#[test]
+fn complete_line_over_the_limit_is_rejected_after_earlier_requests() {
+    let (handle, addr) = start_server(ServerConfig {
+        worker_threads: 1,
+        io_threads: 1,
+        ..ServerConfig::default()
+    });
+    let mut wire = Wire::connect(addr);
+    // A short request, a complete line one byte over the limit and a request
+    // after it: the first is answered, the long line is rejected, and nothing
+    // after it is executed.
+    let mut batch = b"{\"cmd\":\"ping\",\"id\":1}\n".to_vec();
+    batch.resize(batch.len() + MAX_REQUEST_BYTES + 1, b'y');
+    batch.extend_from_slice(b"\n{\"cmd\":\"ping\",\"id\":3}\n");
+    let mut writer = wire.writer.try_clone().expect("clone");
+    let send = std::thread::spawn(move || writer.write_all(&batch).expect("send batch"));
+    assert_eq!(wire.recv()["id"], 1);
+    expect_rejection_then_eof(&mut wire.reader);
+    send.join().expect("send thread");
+
+    handle.shutdown();
+    handle.join();
+}
+
+#[test]
+fn rejection_reaches_a_peer_that_keeps_writing_before_it_reads() {
+    let (handle, addr) = start_server(ServerConfig {
+        worker_threads: 1,
+        io_threads: 1,
+        ..ServerConfig::default()
+    });
+    let stream = TcpStream::connect(addr).expect("connect");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(30)))
+        .expect("read timeout");
+    stream
+        .set_write_timeout(Some(Duration::from_secs(10)))
+        .expect("write timeout");
+    let mut writer = stream.try_clone().expect("clone");
+    // Everything is written before anything is read: a ping, 8 MiB with no
+    // newline, then more input for a while.  The server must keep draining
+    // after it answers, or these writes stall and its close resets the
+    // connection under the unread reply.
+    writer
+        .write_all(b"{\"cmd\":\"ping\",\"id\":1}\n")
+        .expect("send ping");
+    let chunk = vec![b'x'; 64 * 1024];
+    for _ in 0..(8 * 1024 * 1024) / chunk.len() {
+        writer.write_all(&chunk).expect("send flood");
+    }
+    let started = Instant::now();
+    while started.elapsed() < Duration::from_millis(300) {
+        writer.write_all(&chunk).expect("send after the reply");
+        std::thread::sleep(Duration::from_millis(10));
+    }
+
+    let mut reader = BufReader::new(stream.try_clone().expect("clone"));
+    let mut line = String::new();
+    reader.read_line(&mut line).expect("read pong");
+    let pong: Value = serde_json::from_str(line.trim()).expect("json");
+    assert_eq!(pong["id"], 1, "{pong}");
+    expect_rejection_then_eof(&mut reader);
+
+    // Once the peer closes, the lingering connection closes too.
+    drop((reader, writer, stream));
+    let mut ctl = Wire::connect(addr);
+    let deadline = Instant::now() + Duration::from_secs(3);
+    loop {
+        let stats = ctl.request(&json!({ "cmd": "stats" }));
+        assert_eq!(stats["io"]["requests_too_large"], 1, "{stats}");
+        if stats["io"]["connections_open"] == 1 {
+            break;
+        }
+        assert!(
+            Instant::now() < deadline,
+            "lingering connection stayed open: {stats}"
+        );
+        std::thread::sleep(Duration::from_millis(20));
+    }
 
     handle.shutdown();
     handle.join();
