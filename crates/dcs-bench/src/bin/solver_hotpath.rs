@@ -187,12 +187,12 @@ fn quartiles(samples: &mut [u64]) -> [u64; 3] {
 ///   median lazy-heap time must be at least 2× the median indexed-heap time,
 ///   on every run and every machine; both peels must remove the vertices in
 ///   the same order and return the same subset and density bits.
-/// * **thread bit-identity** — average-degree mining and top-k at
-///   `--threads 1` and `--threads 4` must return bit-identical supports and
-///   objectives.  Their wall clocks are reported; the >10% wall-clock
-///   regression gate against a checked-in baseline with a `large` section
-///   applies only on machines with at least 4 cores and the same core count
-///   and workload as the baseline.
+/// * **thread bit-identity** — average-degree mining, top-k and the
+///   default-grid α-sweep at `--threads 1` and `--threads 4` must return
+///   bit-identical supports and objectives.  The mine and top-k wall clocks
+///   are reported; the >10% wall-clock regression gate against a checked-in
+///   baseline with a `large` section applies only on machines with at least
+///   4 cores and the same core count and workload as the baseline.
 fn run_large_section(smoke: bool, baseline: Option<&Value>) -> (Value, bool) {
     use dcs_datasets::large::{generate, LargeConfig};
     use dcs_densest::peel::LazyHeapQueue;
@@ -335,6 +335,27 @@ fn run_large_section(smoke: bool, baseline: Option<&Value>) -> (Value, bool) {
             a.objective.to_bits(),
             b.objective.to_bits(),
             "top-k objectives must be bit-identical"
+        );
+    }
+
+    let sweep = |cx: &SolveContext| {
+        dcs_core::alpha_sweep_in(
+            &pair.g2,
+            &pair.g1,
+            &dcs_core::default_alpha_grid(),
+            DensityMeasure::AverageDegree,
+            cx,
+        )
+        .expect("the default grid is valid")
+    };
+    let (sweep1, sweep4) = (sweep(&cx1), sweep(&cx4));
+    assert_eq!(sweep1.points.len(), sweep4.points.len());
+    for (a, b) in sweep1.points.iter().zip(&sweep4.points) {
+        assert_eq!(a.subset, b.subset, "α-sweep supports must match per point");
+        assert_eq!(
+            a.objective.to_bits(),
+            b.objective.to_bits(),
+            "α-sweep objectives must be bit-identical"
         );
     }
 

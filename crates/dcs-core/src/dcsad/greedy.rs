@@ -13,10 +13,10 @@
 //! connected component (justified by Property 1).
 
 use dcs_densest::charikar::greedy_peeling;
-use dcs_densest::greedy_peeling_view_into;
+use dcs_densest::{greedy_peeling_view_into, PeelWorkspace};
 use dcs_graph::{components, GraphView, SignedGraph, VertexId, Weight};
 
-use crate::engine::{SolveContext, SolveStats};
+use crate::engine::{SolveContext, SolveStats, WorkMeter};
 
 /// Which of the DCSGreedy candidates produced the final answer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -127,6 +127,7 @@ impl DcsGreedy {
         let mut ws = cx.workspace();
         let crate::workspace::SolverWorkspace {
             peel: peel_ws,
+            peel_plus: peel_plus_ws,
             marks,
             visited,
             stack,
@@ -159,22 +160,52 @@ impl DcsGreedy {
         };
         meter.note_candidates(1);
 
-        // Candidate B: greedy peel of G_D (interruptible; best prefix so far).
-        let s1 = {
-            let (peel, _) = greedy_peeling_view_into(view, peel_ws, |units| !meter.tick(units));
-            meter.note_candidates(1);
-            peel.subset
+        // Candidates B and C: the greedy peels of G_D and of G_{D+} (a
+        // positive-filtered view, never materialised), each interruptible with its
+        // best prefix so far.  Unless a bound trips, the G_D peel ticks exactly
+        // `alive − 1` times, so the G_{D+} peel runs under a child meter holding
+        // the budget that is left after that — the budget it would see run second.
+        // Where it runs is the only thread-dependent choice: beside the G_D peel
+        // when the context grants two threads, after it otherwise.  Either way its
+        // result and work count only when the G_D peel ran to the end, exactly as
+        // in sequence, so subsets, density bits and stats match at every thread
+        // count.
+        let plus_meter = meter.fork(view.alive_count() as u64 - 1);
+        let peel_plus = |mut child: WorkMeter, ws: &mut PeelWorkspace| {
+            let (peel, _) =
+                greedy_peeling_view_into(view.positive_part(), ws, |units| !child.tick(units));
+            child.note_candidates(1);
+            (peel, child)
         };
-
-        // Candidate C: greedy peel of G_{D+} (a positive-filtered view — never
-        // materialised); skipped entirely once a bound tripped.
-        let (s2, rho_gd_plus) = if meter.stopped() {
-            (Vec::new(), 0.0)
-        } else {
-            let (peel_plus, _) =
-                greedy_peeling_view_into(view.positive_part(), peel_ws, |units| !meter.tick(units));
+        let mut peel_gd = || {
+            let peel = greedy_peeling_view_into(view, peel_ws, |units| !meter.tick(units));
             meter.note_candidates(1);
-            (peel_plus.subset, peel_plus.average_degree)
+            peel
+        };
+        let ((gd_peel, gd_interrupted), plus) = match plus_meter {
+            Some(child) if cx.threads() >= 2 => std::thread::scope(|scope| {
+                let plus = scope.spawn(|| peel_plus(child, peel_plus_ws));
+                let gd = peel_gd();
+                let plus = plus
+                    .join()
+                    .unwrap_or_else(|panic| std::panic::resume_unwind(panic));
+                (gd, Some(plus))
+            }),
+            child => {
+                let gd = peel_gd();
+                let plus = child
+                    .filter(|_| !gd.1)
+                    .map(|child| peel_plus(child, peel_plus_ws));
+                (gd, plus)
+            }
+        };
+        let s1 = gd_peel.subset;
+        let (s2, rho_gd_plus) = match plus {
+            Some((plus_peel, child)) if !gd_interrupted => {
+                meter.join(child);
+                (plus_peel.subset, plus_peel.average_degree)
+            }
+            _ => (Vec::new(), 0.0),
         };
 
         // Candidate D (warm start): the seed support from a previous mine.  Seeds

@@ -193,10 +193,12 @@ impl SolveContext {
 
     /// Sets the intra-solve parallelism budget: the number of worker threads
     /// the DCSGA kernels (the NewSEA µ_u sweep and its KKT/expansion range scans)
-    /// may use.  The greedy peel is always sequential.  `1` forces the sequential
-    /// reference paths; higher values are safe on any machine because every
-    /// parallel kernel is **bit-identical** to its sequential counterpart.  `0` restores the default (the
-    /// `DCS_SOLVER_THREADS` environment variable, else 1).
+    /// may use.  Each greedy peel is sequential, but at two or more threads
+    /// DCSGreedy runs its `G_D` and `G_{D+}` peels side by side on two threads.
+    /// `1` forces the sequential reference paths; higher values are safe on any
+    /// machine because every parallel path is **bit-identical** to its sequential
+    /// counterpart.  `0` restores the default (the `DCS_SOLVER_THREADS`
+    /// environment variable, else 1).
     pub fn with_threads(mut self, threads: usize) -> Self {
         self.threads = if threads == 0 { None } else { Some(threads) };
         self
@@ -372,6 +374,44 @@ impl WorkMeter {
         }
         // A zero-unit tick performs every check without consuming budget.
         !self.tick(0)
+    }
+
+    /// Forks a child meter for work that runs beside (or after) `reserve` more
+    /// units of this meter's own.  The child shares the cancellation token and
+    /// deadline; its budget is what this meter's budget leaves once the reserve
+    /// is spent.  `None` when the reserve takes the whole budget (or a bound has
+    /// already tripped): run in sequence, the child's work would never start.
+    pub fn fork(&self, reserve: u64) -> Option<WorkMeter> {
+        if self.verdict.is_some() {
+            return None;
+        }
+        let budget_left = match self.budget_left {
+            Some(budget) => Some(budget.checked_sub(reserve).filter(|&left| left > 0)?),
+            None => None,
+        };
+        Some(WorkMeter {
+            cancel: self.cancel.clone(),
+            deadline: self.deadline,
+            budget_left,
+            started: Instant::now(),
+            stats: SolveStats::default(),
+            verdict: None,
+        })
+    }
+
+    /// Folds a [`Self::fork`]ed child's work into this meter: its iterations,
+    /// candidates and prunes, the budget it consumed, and its verdict unless this
+    /// meter already has one.  Wall time stays this meter's own.
+    pub fn join(&mut self, child: WorkMeter) {
+        self.stats.iterations += child.stats.iterations;
+        self.stats.candidates += child.stats.candidates;
+        self.stats.prunes += child.stats.prunes;
+        if let Some(budget) = &mut self.budget_left {
+            *budget = budget.saturating_sub(child.stats.iterations);
+        }
+        if self.verdict.is_none() {
+            self.verdict = child.verdict;
+        }
     }
 
     /// Records candidates examined.
@@ -780,6 +820,35 @@ mod tests {
         token.cancel();
         assert!(!meter.tick(1));
         assert_eq!(meter.finish().termination, Termination::Cancelled);
+    }
+
+    #[test]
+    fn forked_meter_takes_the_budget_left_after_the_reserve() {
+        let cx = SolveContext::unbounded().with_budget(5);
+        let mut meter = cx.meter();
+        let mut child = meter.fork(3).expect("two units are left after the reserve");
+        assert!(meter.tick(3));
+        assert!(child.tick(1));
+        assert!(!child.tick(1)); // the child's second unit exhausts the budget
+        child.note_candidates(1);
+        meter.join(child);
+        let stats = meter.finish();
+        assert_eq!(stats.iterations, 5);
+        assert_eq!(stats.candidates, 1);
+        assert_eq!(stats.termination, Termination::BudgetExhausted);
+
+        // A reserve that takes the whole budget leaves no child.
+        assert!(cx.meter().fork(5).is_none());
+        assert!(cx.meter().fork(6).is_none());
+        // Unbounded meters always fork, and a converged child keeps the parent
+        // converged while its work still counts.
+        let mut meter = SolveContext::unbounded().meter();
+        let mut child = meter.fork(u64::MAX).expect("no budget to exhaust");
+        assert!(child.tick(4));
+        meter.join(child);
+        let stats = meter.finish();
+        assert_eq!(stats.iterations, 4);
+        assert_eq!(stats.termination, Termination::Converged);
     }
 
     #[test]

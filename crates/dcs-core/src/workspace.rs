@@ -36,6 +36,9 @@ use crate::dcsga::DcsgaScratch;
 pub struct SolverWorkspace {
     /// Greedy-peel scratch (indexed heap, degree/alive arrays, removal order).
     pub peel: PeelWorkspace,
+    /// Scratch of DCSGreedy's `G_{D+}` peel, which may run on a second thread
+    /// beside the `G_D` peel in [`Self::peel`].
+    pub peel_plus: PeelWorkspace,
     /// Max-flow arena of the Goldberg exact solver.
     pub flow: FlowNetwork,
     /// NewSEA smart-initialisation order `(vertex, µ_u)`, sorted descending.
@@ -57,6 +60,7 @@ impl Default for SolverWorkspace {
     fn default() -> Self {
         SolverWorkspace {
             peel: PeelWorkspace::new(),
+            peel_plus: PeelWorkspace::new(),
             flow: FlowNetwork::new(0),
             init_order: Vec::new(),
             max_incident: Vec::new(),

@@ -10,15 +10,29 @@
 //! * the parallel NewSEA µ_u sweep ([`smart_initialization_order_par_in`]) produces
 //!   the same `(vertex, µ_u)` order as [`smart_initialization_order_in`], with the
 //!   core/order/scratch buffers reused across thread counts (the risky part: stale
-//!   per-vertex maxima leaking between sweeps).
+//!   per-vertex maxima leaking between sweeps);
+//! * DCSGreedy, whose `G_{D+}` peel runs beside the `G_D` peel at two or more
+//!   threads, returns the same subset, objective bits, winner, `ρ_{D+}` bits and
+//!   `SolveStats` at threads {1, 2, 4} under every budget around the point where
+//!   the second peel's budget is forked off, and so do the average-degree top-k
+//!   and α-sweep drivers built on it.
 
+use dcs_core::dcsad::{CandidateKind, DcsGreedy};
 use dcs_core::dcsga::kkt::{
     kkt_violation_view, kkt_violation_view_par, local_kkt_gap_view, local_kkt_gap_view_par,
 };
-use dcs_core::dcsga::{smart_initialization_order_in, smart_initialization_order_par_in};
-use dcs_core::Embedding;
-use dcs_densest::{expansion_candidates_view, expansion_candidates_view_par};
-use dcs_graph::{CoreScratch, GraphBuilder, GraphView, SignedGraph, VertexId, Weight};
+use dcs_core::dcsga::{
+    smart_initialization_order_in, smart_initialization_order_par_in, DcsgaConfig,
+};
+use dcs_core::engine::{CancelToken, SolveContext, Termination};
+use dcs_core::{
+    alpha_sweep_in, default_alpha_grid, top_k_in, DensityMeasure, Embedding, SharedWorkspace,
+};
+use dcs_densest::{
+    expansion_candidates_view, expansion_candidates_view_par, greedy_peeling_view_into,
+    PeelWorkspace,
+};
+use dcs_graph::{CoreScratch, GraphBuilder, GraphView, SignedGraph, VertexId, VertexMask, Weight};
 use proptest::prelude::*;
 
 /// Strategy: a random signed graph over `n <= 40` vertices plus an embedding
@@ -46,8 +60,195 @@ fn arb_graph_and_embedding() -> impl Strategy<Value = (SignedGraph, Embedding)> 
     })
 }
 
+/// Strategy: a random signed graph over `n <= 40` vertices plus a mask keeping a
+/// random non-empty subset of its vertices alive.
+fn arb_graph_and_mask() -> impl Strategy<Value = (SignedGraph, VertexMask)> {
+    (2usize..40).prop_flat_map(|n| {
+        let edge = (0..n as u32, 0..n as u32, -6.0f64..6.0);
+        (
+            Just(n),
+            proptest::collection::vec(edge, 0..160),
+            proptest::collection::vec(0..n as u32, 0..n),
+        )
+            .prop_map(|(n, edges, dead)| {
+                let mut b = GraphBuilder::new(n);
+                for (u, v, w) in edges {
+                    if u != v && w != 0.0 {
+                        b.add_edge(u, v, w);
+                    }
+                }
+                let mut mask = VertexMask::full(n);
+                for v in dead {
+                    if mask.len() > 1 {
+                        mask.remove(v);
+                    }
+                }
+                (b.build(), mask)
+            })
+    })
+}
+
+/// Strategy: a pair `(G1, G2)` of non-negatively weighted graphs over the same
+/// `n <= 30` vertices, the input of an α-sweep.
+fn arb_graph_pair() -> impl Strategy<Value = (SignedGraph, SignedGraph)> {
+    (2usize..30).prop_flat_map(|n| {
+        let edge = (0..n as u32, 0..n as u32, 0.1f64..5.0);
+        (
+            Just(n),
+            proptest::collection::vec(edge.clone(), 0..100),
+            proptest::collection::vec(edge, 0..100),
+        )
+            .prop_map(|(n, edges1, edges2)| {
+                let build = |edges: Vec<(u32, u32, f64)>| {
+                    let mut b = GraphBuilder::new(n);
+                    for (u, v, w) in edges {
+                        if u != v {
+                            b.add_edge(u, v, w);
+                        }
+                    }
+                    b.build()
+                };
+                (build(edges1), build(edges2))
+            })
+    })
+}
+
+/// Everything a DCSGreedy solve reports that must not depend on the thread count.
+type GreedyFingerprint = (
+    Vec<VertexId>,
+    u64,
+    CandidateKind,
+    u64,
+    u64,
+    u64,
+    Termination,
+);
+
+fn greedy_fingerprint(view: GraphView<'_>, cx: &SolveContext) -> GreedyFingerprint {
+    let (solution, stats) = DcsGreedy::new().solve_view_bounded(view, &[], cx);
+    (
+        solution.subset,
+        solution.density_difference.to_bits(),
+        solution.winner,
+        solution.rho_gd_plus.to_bits(),
+        stats.iterations,
+        stats.candidates,
+        stats.termination,
+    )
+}
+
+/// The `ρ_{D+}` bits, iterations, candidates and termination of DCSGreedy's two
+/// peels run one after the other under a single meter — the plain sequential
+/// candidate generation the forked flow must reproduce.  Only meaningful on a
+/// view with a positive edge (otherwise DCSGreedy peels nothing).
+fn sequential_peels(view: GraphView<'_>, cx: &SolveContext) -> (u64, u64, u64, Termination) {
+    let mut meter = cx.meter();
+    let mut ws = PeelWorkspace::new();
+    greedy_peeling_view_into(view, &mut ws, |units| !meter.tick(units));
+    let mut candidates = 2; // the max-weight edge and the G_D peel
+    let mut rho_gd_plus = 0.0;
+    if !meter.stopped() {
+        let (peel, _) =
+            greedy_peeling_view_into(view.positive_part(), &mut ws, |units| !meter.tick(units));
+        rho_gd_plus = peel.average_degree;
+        candidates += 1;
+    }
+    let stats = meter.finish();
+    (
+        rho_gd_plus.to_bits(),
+        stats.iterations,
+        candidates,
+        stats.termination,
+    )
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// DCSGreedy at threads 2 and 4 (the `G_{D+}` peel on a second thread) against
+    /// threads 1 (both peels in sequence), on the full and the masked view, with no
+    /// budget, with budgets around the fork point `alive − 1`, and under a
+    /// pre-cancelled token.  One workspace per thread count is reused across all
+    /// the solves, so stale peel scratch would show too.
+    #[test]
+    fn dcs_greedy_is_identical_across_thread_counts((g, mask) in arb_graph_and_mask()) {
+        let workspaces: Vec<(usize, SharedWorkspace)> =
+            [1usize, 2, 4].into_iter().map(|t| (t, SharedWorkspace::new())).collect();
+        let cancelled = CancelToken::new();
+        cancelled.cancel();
+        for view in [GraphView::full(&g), GraphView::masked(&g, &mask)] {
+            let alive = view.alive_count() as u64;
+            let mut budgets: Vec<Option<u64>> = vec![None];
+            for budget in [1, alive - 1, alive, alive + 1, 2 * alive - 2, 2 * alive - 1] {
+                if !budgets.contains(&Some(budget)) {
+                    budgets.push(Some(budget));
+                }
+            }
+            let has_positive = matches!(view.max_weight_edge(), Some((_, _, w)) if w > 0.0);
+            // Each context with the termination it must end in, where that is
+            // known up front: the pre-cancelled token stops the first peel, unless
+            // the view has no positive edge and needs no peel at all.
+            let mut contexts: Vec<(SolveContext, Option<Termination>)> = budgets
+                .into_iter()
+                .map(|budget| match budget {
+                    Some(units) => (SolveContext::unbounded().with_budget(units), None),
+                    None => (SolveContext::unbounded(), Some(Termination::Converged)),
+                })
+                .collect();
+            let cancelled_ends = if has_positive { Termination::Cancelled } else { Termination::Converged };
+            contexts.push((SolveContext::unbounded().with_cancel(&cancelled), Some(cancelled_ends)));
+            for (index, (cx, expected)) in contexts.iter().enumerate() {
+                let solve = |(threads, ws): &(usize, SharedWorkspace)| {
+                    greedy_fingerprint(view, &cx.clone().with_workspace(ws).with_threads(*threads))
+                };
+                let reference = solve(&workspaces[0]);
+                for entry in &workspaces[1..] {
+                    assert_eq!(solve(entry), reference, "context #{} threads={}", index, entry.0);
+                }
+                if let Some(expected) = expected {
+                    assert_eq!(reference.6, *expected, "context #{}", index);
+                }
+                if has_positive {
+                    assert_eq!(
+                        (reference.3, reference.4, reference.5, reference.6),
+                        sequential_peels(view, cx),
+                        "context #{} against the sequential peels", index
+                    );
+                }
+            }
+        }
+    }
+
+    /// The average-degree top-k and α-sweep drivers, which call DCSGreedy once per
+    /// round or grid point, return the same subsets and objective bits at threads 1
+    /// and 4.
+    #[test]
+    fn average_degree_drivers_are_identical_across_thread_counts(
+        (g1, g2) in arb_graph_pair(),
+        k in 1usize..5,
+    ) {
+        let gd = dcs_core::difference_graph(&g2, &g1).unwrap();
+        let run = |threads: usize| {
+            let cx = SolveContext::unbounded().with_threads(threads);
+            let topk = top_k_in(&gd, k, DensityMeasure::AverageDegree, DcsgaConfig::default(), &cx);
+            let sweep = alpha_sweep_in(
+                &g2, &g1, &default_alpha_grid(), DensityMeasure::AverageDegree, &cx,
+            )
+            .unwrap();
+            let topk: Vec<(Vec<VertexId>, u64)> = topk
+                .solutions
+                .into_iter()
+                .map(|s| (s.subset, s.objective.to_bits()))
+                .collect();
+            let sweep: Vec<(Vec<VertexId>, u64)> = sweep
+                .points
+                .into_iter()
+                .map(|p| (p.subset, p.objective.to_bits()))
+                .collect();
+            (topk, sweep)
+        };
+        assert_eq!(run(1), run(4));
+    }
 
     /// The global KKT oracle: parallel range scans merge to the exact sequential
     /// violation, on the full signed view and the positive-filtered overlay.

@@ -13,9 +13,11 @@
 //!   the oldest events are overwritten and counted as dropped.  Tracing can
 //!   therefore stay on indefinitely without growing memory.
 //! * **Global drain.**  [`take_timeline`] collects and removes the events of
-//!   every thread that ever recorded (including threads that have already
-//!   exited — their rings are kept alive by the collector registry), sorted
-//!   by start time.
+//!   every thread that recorded since the last drain (including threads that
+//!   have already exited — the collector registry keeps their rings alive
+//!   until they are drained), sorted by start time.  A drained ring whose
+//!   thread has exited leaves the registry, so short-lived workers do not
+//!   grow it.
 //!
 //! Timestamps are microseconds since the first use of the tracer in this
 //! process, so events from different threads share one clock.
@@ -151,8 +153,9 @@ impl Ring {
 
 type SharedRing = Arc<Mutex<Ring>>;
 
-/// Every ring ever created, so the timeline survives thread exit (short-lived
-/// parallel sweep workers record spans too).
+/// Every live thread's ring, plus the rings of exited threads not yet drained,
+/// so the timeline survives thread exit (short-lived parallel workers record
+/// spans too).
 fn collectors() -> &'static Mutex<Vec<SharedRing>> {
     static COLLECTORS: OnceLock<Mutex<Vec<SharedRing>>> = OnceLock::new();
     COLLECTORS.get_or_init(|| Mutex::new(Vec::new()))
@@ -257,15 +260,20 @@ pub fn record(phase: Phase, started: Instant, duration: Duration, units: u64) {
 
 /// Drains every thread's ring into one timeline sorted by start time, and the
 /// total number of events lost to ring overflow since the last drain.
+///
+/// Rings of threads that have exited are removed once drained.  A ring held by
+/// the registry alone belongs to an exited thread, and since no other handle
+/// can appear while the registry lock is held, nothing records into it again.
 pub fn take_timeline_with_drops() -> (Vec<TraceEvent>, u64) {
-    let rings: Vec<SharedRing> = lock(collectors()).iter().map(Arc::clone).collect();
     let mut events = Vec::new();
     let mut dropped = 0u64;
-    for ring in rings {
-        let (mut drained, lost) = lock(&ring).drain();
+    lock(collectors()).retain(|ring| {
+        let exited = Arc::strong_count(ring) == 1;
+        let (mut drained, lost) = lock(ring).drain();
         events.append(&mut drained);
         dropped += lost;
-    }
+        !exited
+    });
     events.sort_by_key(|event| event.start_us);
     (events, dropped)
 }
@@ -390,6 +398,29 @@ mod tests {
             .unwrap();
         let peel = events.iter().find(|e| e.phase == Phase::Peel).unwrap();
         assert_ne!(rebuild.thread, peel.thread);
+    }
+
+    #[test]
+    fn drains_forget_the_rings_of_exited_threads() {
+        let _guard = tracing_test_lock();
+        set_enabled(true);
+        clear();
+        let registered = || lock(collectors()).len();
+        let before = registered();
+        for _ in 0..1000 {
+            std::thread::spawn(|| drop(span(Phase::Peel)))
+                .join()
+                .unwrap();
+        }
+        // Bounds, not equalities: a thread that recorded before this test may
+        // finish exiting meanwhile and leave the registry at the next drain.
+        assert!(registered() >= before + 1000);
+        let (events, dropped) = take_timeline_with_drops();
+        set_enabled(false);
+        assert_eq!(events.len(), 1000, "one span per exited thread");
+        assert!(events.iter().all(|e| e.phase == Phase::Peel));
+        assert_eq!(dropped, 0);
+        assert!(registered() <= before);
     }
 
     #[test]

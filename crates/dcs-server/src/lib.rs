@@ -235,8 +235,8 @@
 //! different commands still fans out across the pool.  Batch sizes, coalesced
 //! counts and steal counts are exported under `batching` in the server-wide
 //! `stats` payload.  Intra-solve parallelism (how many threads one solve may
-//! use for peeling and KKT scans) is configured separately via
-//! [`ServerConfig::solver_threads`].
+//! use: DCSGreedy's `G_D` and `G_{D+}` peels side by side, the DCSGA µ_u sweep
+//! and KKT scans) is configured separately via [`ServerConfig::solver_threads`].
 //!
 //! ## Example
 //!
@@ -307,10 +307,11 @@ pub struct ServerConfig {
     /// is not.
     pub max_job_ms: Option<u64>,
     /// Intra-solve parallelism: the number of threads each mining job may use
-    /// *inside* a single solve (the DCSGA µ_u sweep and KKT scans; the greedy
-    /// peel is sequential).  `0`
-    /// (the default) inherits the process-wide `DCS_SOLVER_THREADS`
-    /// environment default (itself defaulting to 1).  Distinct from
+    /// *inside* a single solve (the DCSGA µ_u sweep and KKT scans; at two or
+    /// more, DCSGreedy's `G_D` and `G_{D+}` peels run side by side, each peel
+    /// itself sequential).  `0` (the default) inherits the process-wide
+    /// `DCS_SOLVER_THREADS` environment default (itself defaulting to 1).
+    /// Results are bit-identical at every value.  Distinct from
     /// [`ServerConfig::worker_threads`], which controls how many jobs run
     /// concurrently.
     pub solver_threads: usize,
