@@ -96,8 +96,8 @@ pub fn greedy_peeling_view_with<Q: MinDegreeQueue, F: FnMut(u64) -> bool>(
 }
 
 /// The one peel implementation behind every entry point.  `queue` is rebuilt with
-/// the view's alive vertices at their initial degrees; `profile` optionally records the removal order and
-/// per-step densities.
+/// the view's alive vertices at their initial degrees; `profile` optionally records
+/// the removal order and per-step densities.
 fn peel_view<Q: MinDegreeQueue, F: FnMut(u64) -> bool>(
     view: GraphView<'_>,
     ws: &mut PeelWorkspace,

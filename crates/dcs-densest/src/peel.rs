@@ -2,12 +2,15 @@
 //!
 //! Greedy peeling repeatedly removes the vertex of minimum *current* weighted degree and
 //! must update the degrees of its neighbors.  The paper suggests a segment tree; the
-//! production peel uses an [`IndexedHeap`] — a 4-ary min-heap with one slot per queued
-//! vertex and a position index, so a degree change sifts the vertex in place (up or
-//! down: negative edges can *raise* a degree) and no stale entries ever pile up.  It
-//! has the same `O((n + m) log n)` complexity as the lazy binary heap
-//! ([`LazyHeapQueue`], kept for the quasi-clique peel and as the reference the peel
-//! property tests compare against) with a considerably smaller constant.  A naive
+//! production peel uses an [`IndexedHeap`] — a 4-ary min-heap with one packed `u128`
+//! slot per queued vertex and a position index, so a degree change sifts the vertex in
+//! place (up or down: negative edges can *raise* a degree) and no stale entries ever
+//! pile up.  Its pops are bottom-up: the root's hole sinks along least children to a
+//! leaf and the former last slot sifts up from there.  Because every slot key
+//! `(degree, vertex id)` is unique, any valid heap pops the same sequence, so the
+//! removal order is that of the lazy binary heap ([`LazyHeapQueue`], kept for the
+//! quasi-clique peel and as the reference the peel property tests compare against):
+//! same `O((n + m) log n)` complexity, considerably smaller constant.  A naive
 //! `O(n)`-per-extraction re-scan implementation is provided for the ablation
 //! benchmark `bench_peeling`.
 
@@ -186,15 +189,25 @@ impl MinDegreeQueue for LazyHeapQueue {
 ///
 /// Every queued vertex owns exactly one slot, and `pos[v]` records where it is, so
 /// [`MinDegreeQueue::adjust`] rewrites the vertex's key in place and sifts it up or
-/// down.  Keys are `(order-preserving bits of degree + 0.0, vertex id)`: adding `0.0`
-/// folds `-0.0` into `0.0`, so the heap orders exactly like the lazy heap's
-/// `partial_cmp` with the vertex-id tie-break and every peel removes vertices in the
-/// same sequence.  [`MinDegreeQueue::rebuild`] keeps all capacity, so a reused heap
-/// allocates nothing.
+/// down.  A slot is one packed `u128`, `degree_key(degree) << 32 | vertex`, so one
+/// integer comparison orders by degree with the vertex-id tie-break; adding `0.0`
+/// in `degree_key` folds `-0.0` into `0.0`, so the heap orders exactly like the
+/// lazy heap's `partial_cmp` with the vertex-id tie-break.  The least of four
+/// children is picked with branch-free pairwise minima.
+///
+/// [`MinDegreeQueue::pop_min`] pops bottom-up: the hole left at the root walks down
+/// along least children to a leaf, the former last slot fills it and sifts up.
+/// This skips the comparison against the sinking slot at every level on the way
+/// down, and the sift-up is short because a last slot is usually large.  The pop
+/// order cannot differ from any other heap's: every key `(degree key, vertex id)`
+/// is unique, so the minimum is unique and every valid heap pops the same
+/// sequence.  Degrees are read back from the `degree` array, never decoded from
+/// keys, so a popped `-0.0` keeps its sign bit.  [`MinDegreeQueue::rebuild`] keeps
+/// all capacity, so a reused heap allocates nothing.
 #[derive(Debug, Clone, Default)]
 pub struct IndexedHeap {
-    /// Heap-ordered `(key, vertex)` slots; `slots[0]` is the minimum.
-    slots: Vec<(u64, VertexId)>,
+    /// Heap-ordered packed slots (see [`pack`]); `slots[0]` is the minimum.
+    slots: Vec<u128>,
     /// Slot index of each vertex, or [`NOT_QUEUED`] if it was popped or never queued.
     pos: Vec<u32>,
     /// Current degree of each queued vertex (the peel keeps no other degree array).
@@ -217,50 +230,77 @@ fn degree_key(degree: Weight) -> u64 {
     }
 }
 
+/// One heap slot: the degree key above the vertex id.
+#[inline]
+fn pack(degree: Weight, vertex: VertexId) -> u128 {
+    (degree_key(degree) as u128) << 32 | vertex as u128
+}
+
+/// The vertex id of a packed slot.
+#[inline]
+fn vertex_of(slot: u128) -> VertexId {
+    slot as VertexId
+}
+
 impl IndexedHeap {
     #[inline]
-    fn place(&mut self, i: usize, item: (u64, VertexId)) {
-        self.slots[i] = item;
-        self.pos[item.1 as usize] = i as u32;
+    fn place(&mut self, i: usize, slot: u128) {
+        self.slots[i] = slot;
+        self.pos[vertex_of(slot) as usize] = i as u32;
+    }
+
+    /// Index and value of the least child of the group starting at `first`
+    /// (`first < len`).
+    #[inline]
+    fn least_child(&self, first: usize) -> (usize, u128) {
+        let slots = &self.slots;
+        if let Some(group) = slots[first..].first_chunk::<ARITY>() {
+            let a = (group[1] < group[0]) as usize;
+            let b = 2 + (group[3] < group[2]) as usize;
+            let c = if group[b] < group[a] { b } else { a };
+            (first + c, group[c])
+        } else {
+            // The partial last group.
+            let mut child = first;
+            for c in first + 1..slots.len() {
+                if slots[c] < slots[child] {
+                    child = c;
+                }
+            }
+            (child, slots[child])
+        }
     }
 
     fn sift_up(&mut self, mut i: usize) {
-        let item = self.slots[i];
+        let slot = self.slots[i];
         while i > 0 {
             let parent = (i - 1) / ARITY;
             let above = self.slots[parent];
-            if above <= item {
+            if above <= slot {
                 break;
             }
             self.place(i, above);
             i = parent;
         }
-        self.place(i, item);
+        self.place(i, slot);
     }
 
     fn sift_down(&mut self, mut i: usize) {
-        let item = self.slots[i];
+        let slot = self.slots[i];
         let len = self.slots.len();
         loop {
             let first = ARITY * i + 1;
             if first >= len {
                 break;
             }
-            let mut child = first;
-            let mut least = self.slots[first];
-            for c in first + 1..(first + ARITY).min(len) {
-                if self.slots[c] < least {
-                    child = c;
-                    least = self.slots[c];
-                }
-            }
-            if item <= least {
+            let (child, least) = self.least_child(first);
+            if slot <= least {
                 break;
             }
             self.place(i, least);
             i = child;
         }
-        self.place(i, item);
+        self.place(i, slot);
     }
 }
 
@@ -277,7 +317,7 @@ impl MinDegreeQueue for IndexedHeap {
         for (v, d) in queued {
             self.degree[v as usize] = d;
             self.pos[v as usize] = self.slots.len() as u32;
-            self.slots.push((degree_key(d), v));
+            self.slots.push(pack(d, v));
         }
         // Floyd's bottom-up heapify: sift down every internal slot, last first.
         for i in (0..self.slots.len().div_ceil(ARITY)).rev() {
@@ -288,13 +328,26 @@ impl MinDegreeQueue for IndexedHeap {
     fn pop_min(&mut self) -> Option<(VertexId, Weight)> {
         let top = *self.slots.first()?;
         let last = self.slots.pop().expect("heap is non-empty");
-        if !self.slots.is_empty() {
-            self.place(0, last);
-            self.sift_down(0);
-        }
-        let v = top.1 as usize;
+        let v = vertex_of(top) as usize;
         self.pos[v] = NOT_QUEUED;
-        Some((top.1, self.degree[v]))
+        let len = self.slots.len();
+        if len > 0 {
+            // Walk the hole at the root down along least children to a leaf, then
+            // fill it with the former last slot and sift that up.
+            let mut hole = 0;
+            loop {
+                let first = ARITY * hole + 1;
+                if first >= len {
+                    break;
+                }
+                let (child, least) = self.least_child(first);
+                self.place(hole, least);
+                hole = child;
+            }
+            self.slots[hole] = last;
+            self.sift_up(hole);
+        }
+        Some((vertex_of(top), self.degree[v]))
     }
 
     #[inline]
@@ -306,10 +359,10 @@ impl MinDegreeQueue for IndexedHeap {
         }
         let i = i as usize;
         self.degree[vi] += delta;
-        let old = self.slots[i].0;
-        let key = degree_key(self.degree[vi]);
-        self.slots[i].0 = key;
-        match key.cmp(&old) {
+        let old = self.slots[i];
+        let slot = pack(self.degree[vi], v);
+        self.slots[i] = slot;
+        match slot.cmp(&old) {
             Ordering::Less => self.sift_up(i),
             Ordering::Greater => self.sift_down(i),
             Ordering::Equal => {}

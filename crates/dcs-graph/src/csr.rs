@@ -1,7 +1,7 @@
 //! Compressed-sparse-row storage for signed, weighted, undirected graphs.
 
 use crate::column::CsrColumn;
-use crate::{VertexId, VertexSubset, Weight};
+use crate::{GraphView, VertexId, VertexSubset, Weight};
 
 /// Why a CSR triple was rejected as structurally invalid.
 ///
@@ -509,17 +509,10 @@ impl SignedGraph {
         })
     }
 
-    /// The edge with the maximum weight, `(u, v, w)`, or `None` for an edgeless graph.
+    /// The edge with the maximum weight, `(u, v, w)`, or `None` for an edgeless graph
+    /// (the first maximum on ties; see [`GraphView::max_weight_edge`]).
     pub fn max_weight_edge(&self) -> Option<(VertexId, VertexId, Weight)> {
-        let mut best: Option<(VertexId, VertexId, Weight)> = None;
-        for (u, v, w) in self.edges() {
-            match best {
-                None => best = Some((u, v, w)),
-                Some((_, _, bw)) if w > bw => best = Some((u, v, w)),
-                _ => {}
-            }
-        }
-        best
+        GraphView::full(self).max_weight_edge()
     }
 
     /// Average edge weight over all edges, 0.0 for an edgeless graph.

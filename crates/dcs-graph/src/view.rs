@@ -165,13 +165,28 @@ impl<'a> GraphView<'a> {
     }
 
     /// The surviving edge with the maximum weight, or `None` if the view is edgeless.
+    ///
+    /// Ties go to the first maximum in [`Self::edges`] order (`u` ascending, then
+    /// the row order of `v`): only a strictly greater weight replaces the best.  The
+    /// scan loops over the raw CSR rows, testing the (rarely passing) weight
+    /// comparison before the mask and sign filters.
     pub fn max_weight_edge(self) -> Option<(VertexId, VertexId, Weight)> {
         let mut best: Option<(VertexId, VertexId, Weight)> = None;
-        for (u, v, w) in self.edges() {
-            match best {
-                None => best = Some((u, v, w)),
-                Some((_, _, bw)) if w > bw => best = Some((u, v, w)),
-                _ => {}
+        let mut best_weight = Weight::NEG_INFINITY;
+        for u in 0..self.num_vertices() as VertexId {
+            if !self.is_alive(u) {
+                continue;
+            }
+            let (nbrs, weights) = self.graph.neighbor_slices(u);
+            for (&v, &w) in nbrs.iter().zip(weights) {
+                if (w > best_weight || best.is_none())
+                    && u < v
+                    && self.is_alive(v)
+                    && (!self.positive_only || w > 0.0)
+                {
+                    best = Some((u, v, w));
+                    best_weight = w;
+                }
             }
         }
         best

@@ -7,15 +7,38 @@ use proptest::prelude::*;
 fn arb_graph() -> impl Strategy<Value = SignedGraph> {
     (2usize..24).prop_flat_map(|n| {
         let edge = (0..n as u32, 0..n as u32, -5.0f64..5.0f64);
-        (Just(n), proptest::collection::vec(edge, 0..80)).prop_map(|(n, edges)| {
-            let mut b = GraphBuilder::new(n);
-            for (u, v, w) in edges {
-                if u != v && w != 0.0 {
-                    b.add_edge(u, v, w);
-                }
-            }
-            b.build()
-        })
+        (Just(n), proptest::collection::vec(edge, 0..80)).prop_map(|(n, edges)| build(n, edges))
+    })
+}
+
+/// Strategy: like [`arb_graph`] half the time; otherwise weights come from
+/// {−2, −1, 1, 2}, so several edges share the maximum weight.
+fn arb_graph_with_ties() -> impl Strategy<Value = SignedGraph> {
+    let tied = (2usize..24).prop_flat_map(|n| {
+        let weight = prop::sample::select(vec![-2.0f64, -1.0, 1.0, 2.0]);
+        let edge = (0..n as u32, 0..n as u32, weight);
+        (Just(n), proptest::collection::vec(edge, 0..80)).prop_map(|(n, edges)| build(n, edges))
+    });
+    prop_oneof![arb_graph(), tied]
+}
+
+fn build(n: usize, edges: Vec<(u32, u32, f64)>) -> SignedGraph {
+    let mut b = GraphBuilder::new(n);
+    for (u, v, w) in edges {
+        if u != v && w != 0.0 {
+            b.add_edge(u, v, w);
+        }
+    }
+    b.build()
+}
+
+/// The max-weight-edge oracle: a fold over `g.edges()` in which only a strictly
+/// greater weight replaces the first maximum.
+fn first_max_edge(g: &SignedGraph) -> Option<(u32, u32, f64)> {
+    g.edges().fold(None, |best, (u, v, w)| match best {
+        Some((_, _, bw)) if w > bw => Some((u, v, w)),
+        Some(_) => best,
+        None => Some((u, v, w)),
     })
 }
 
@@ -195,7 +218,7 @@ proptest! {
     /// set, same degrees, same metrics — without touching the CSR arrays.
     #[test]
     fn masked_view_equals_in_place_removal(
-        g in arb_graph(),
+        g in arb_graph_with_ties(),
         removal in proptest::collection::vec(0u32..24, 0..12),
     ) {
         use dcs_graph::{GraphView, VertexMask};
@@ -217,6 +240,12 @@ proptest! {
         prop_assert_eq!(
             view.positive_part().materialize(),
             reference.positive_part()
+        );
+        // The max-edge scan keeps the first maximum, with and without the filter.
+        prop_assert_eq!(view.max_weight_edge(), first_max_edge(&reference));
+        prop_assert_eq!(
+            view.positive_part().max_weight_edge(),
+            first_max_edge(&reference.positive_part())
         );
         // Mask bookkeeping is exact.
         let mut unique = removal.clone();
