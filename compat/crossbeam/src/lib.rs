@@ -1,70 +1,6 @@
 //! Offline shim for the `crossbeam` crate.
 //!
-//! Two pieces of the upstream API are provided:
-//!
-//! * the scoped-thread API ([`scope`] + [`Scope::spawn`]), implemented on top
-//!   of `std::thread::scope` (stable since Rust 1.63).  One behavioural
-//!   difference: a panicking child thread propagates its panic when the scope
-//!   joins instead of being captured into the returned `Result`, so callers'
-//!   `.expect(...)` never observes `Err` — acceptable for the workspace,
-//!   which only uses the panic path to abort;
-//! * the work-stealing deques of `crossbeam-deque` (the [`deque`] module:
-//!   `Worker` / `Stealer` / `Injector` / `Steal`), mutex-backed.
+//! Only the work-stealing deques of `crossbeam-deque` are provided (the [`deque`]
+//! module: `Worker` / `Stealer` / `Injector` / `Steal`), mutex-backed.
 
 pub mod deque;
-
-use std::thread;
-
-/// Handle passed to the closure of [`scope`]; spawns scoped worker threads.
-pub struct Scope<'scope, 'env: 'scope> {
-    inner: &'scope thread::Scope<'scope, 'env>,
-}
-
-impl<'scope, 'env> Scope<'scope, 'env> {
-    /// Spawns a scoped thread.  The closure receives a [`Scope`] handle so
-    /// nested spawns are possible (crossbeam's signature).
-    pub fn spawn<F, T>(&self, f: F) -> thread::ScopedJoinHandle<'scope, T>
-    where
-        F: for<'a> FnOnce(&'a Scope<'scope, 'env>) -> T + Send + 'scope,
-        T: Send + 'scope,
-    {
-        let inner = self.inner;
-        inner.spawn(move || f(&Scope { inner }))
-    }
-}
-
-/// Creates a scope in which threads borrowing from the enclosing stack frame
-/// can be spawned; all spawned threads are joined before `scope` returns.
-pub fn scope<'env, F, R>(f: F) -> thread::Result<R>
-where
-    F: for<'scope> FnOnce(&Scope<'scope, 'env>) -> R,
-{
-    Ok(thread::scope(|s| f(&Scope { inner: s })))
-}
-
-#[cfg(test)]
-mod tests {
-    use std::sync::atomic::{AtomicUsize, Ordering};
-
-    #[test]
-    fn scoped_threads_borrow_locals() {
-        let counter = AtomicUsize::new(0);
-        let counter_ref = &counter;
-        let data = vec![1usize, 2, 3, 4];
-        super::scope(|s| {
-            for &x in &data {
-                s.spawn(move |_| {
-                    counter_ref.fetch_add(x, Ordering::Relaxed);
-                });
-            }
-        })
-        .expect("scope");
-        assert_eq!(counter.load(Ordering::Relaxed), 10);
-    }
-
-    #[test]
-    fn scope_returns_the_closure_value() {
-        let out = super::scope(|_| 7).expect("scope");
-        assert_eq!(out, 7);
-    }
-}

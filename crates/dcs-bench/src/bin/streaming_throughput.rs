@@ -42,7 +42,7 @@ use std::time::{Duration, Instant};
 use dcs_core::dcsad::DcsGreedy;
 use dcs_core::{ContrastSolver, DensityMeasure, SolveContext, StreamingConfig, StreamingDcs};
 use dcs_graph::{GraphBuilder, SignedGraph, VertexId};
-use dcs_server::{Client, Server, ServerConfig};
+use dcs_server::{Client, CreateSessionRequest, Server, ServerConfig};
 use serde_json::{json, Value};
 
 struct BenchConfig {
@@ -125,7 +125,11 @@ fn scaling_level(addr: std::net::SocketAddr, connections: usize, duration: Durat
                 let mut client = Client::connect(addr).expect("connect observer");
                 let session = format!("scale-{connections}-{index}");
                 client
-                    .create_session(&session, 64, json!({}))
+                    .create(CreateSessionRequest {
+                        session: session.clone(),
+                        vertices: Some(64),
+                        ..CreateSessionRequest::default()
+                    })
                     .expect("create session");
                 let mut batches = 0u64;
                 let mut tick = 0u64;
@@ -134,7 +138,7 @@ fn scaling_level(addr: std::net::SocketAddr, connections: usize, duration: Durat
                     let updates: Vec<(u32, u32, f64)> = (0..8)
                         .map(|i| (base + i, base + i + 1, 1.0 + (tick % 7) as f64))
                         .collect();
-                    client.observe(&session, &updates).expect("observe");
+                    client.session(&session).observe(&updates).expect("observe");
                     batches += 1;
                     tick += 1;
                 }
@@ -148,7 +152,11 @@ fn scaling_level(addr: std::net::SocketAddr, connections: usize, duration: Durat
     let mut miner = Client::connect(addr).expect("connect miner");
     let session = format!("scale-miner-{connections}");
     miner
-        .create_session(&session, 64, json!({}))
+        .create(CreateSessionRequest {
+            session: session.clone(),
+            vertices: Some(64),
+            ..CreateSessionRequest::default()
+        })
         .expect("create miner session");
     let mut mine_ms: Vec<f64> = Vec::new();
     let started = Instant::now();
@@ -156,10 +164,11 @@ fn scaling_level(addr: std::net::SocketAddr, connections: usize, duration: Durat
     while started.elapsed() < duration {
         let base = (tick % 56) as u32;
         miner
-            .observe(&session, &[(base, base + 1, 2.0 + (tick % 5) as f64)])
+            .session(&session)
+            .observe(&[(base, base + 1, 2.0 + (tick % 5) as f64)])
             .expect("miner observe");
         let start = Instant::now();
-        miner.mine(&session).expect("mine");
+        miner.session(&session).mine().expect("mine");
         mine_ms.push(start.elapsed().as_secs_f64() * 1e3);
         tick += 1;
     }
@@ -230,10 +239,19 @@ fn durability(smoke: bool) -> Value {
     .start();
     let mut client = Client::connect(handle.local_addr()).expect("connect durability client");
     client
-        .create_session("bench-ephemeral", 64, json!({}))
+        .create(CreateSessionRequest {
+            session: "bench-ephemeral".into(),
+            vertices: Some(64),
+            ..CreateSessionRequest::default()
+        })
         .expect("create ephemeral session");
     client
-        .create_session("bench-durable", 64, json!({ "durable": true }))
+        .create(CreateSessionRequest {
+            session: "bench-durable".into(),
+            vertices: Some(64),
+            durable: true,
+            ..CreateSessionRequest::default()
+        })
         .expect("create durable session");
 
     let batches = if smoke { 300 } else { 3_000 };
@@ -244,7 +262,7 @@ fn durability(smoke: bool) -> Value {
             let updates: Vec<(u32, u32, f64)> = (0..8)
                 .map(|i| (base + i, base + i + 1, 1.0 + (tick % 7) as f64))
                 .collect();
-            client.observe(session, &updates).expect("observe");
+            client.session(session).observe(&updates).expect("observe");
         }
         batches as f64 * 8.0 / start.elapsed().as_secs_f64()
     };
@@ -287,10 +305,15 @@ fn run_soak() {
         for (index, client) in clients.iter_mut().enumerate() {
             let session = format!("soak-{wave}-{index}");
             client
-                .create_session(&session, 32, json!({}))
+                .create(CreateSessionRequest {
+                    session: session.clone(),
+                    vertices: Some(32),
+                    ..CreateSessionRequest::default()
+                })
                 .expect("create");
             client
-                .observe(&session, &[(0, 1, 2.0), (1, 2, 1.5)])
+                .session(&session)
+                .observe(&[(0, 1, 2.0), (1, 2, 1.5)])
                 .expect("observe");
             client
                 .request(json!({ "cmd": "drop_session", "session": session }))

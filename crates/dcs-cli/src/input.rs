@@ -197,8 +197,8 @@ impl MiningOptions {
 
     /// Interprets the shared solver-bound options `--timeout SECONDS` (wall-clock
     /// deadline), `--budget UNITS` (solver-specific work budget) and
-    /// `--threads N` (intra-solve parallelism for peeling and KKT scans; 0 or
-    /// absent inherits the `DCS_SOLVER_THREADS` environment default) into a
+    /// `--threads N` (intra-solve parallelism: DCSGreedy's two peels and the
+    /// NewSEA µ_u ordering; 0 or absent inherits the `DCS_SOLVER_THREADS` environment default) into a
     /// [`SolveContext`].  With no flags the context is unbounded.
     pub fn solve_context(args: &ParsedArgs) -> Result<SolveContext, CliError> {
         let mut cx = SolveContext::unbounded();

@@ -101,132 +101,6 @@ pub fn is_local_kkt_point(g: &SignedGraph, x: &Embedding, support: &[VertexId], 
     local_kkt_gap(g, x, support) <= eps
 }
 
-/// [`kkt_violation_view`] scanned by `threads` workers over disjoint vertex ranges.
-///
-/// **Bit-identical to the sequential oracle.** Every per-vertex gradient is the same
-/// CSR-row-order sum the sequential scan computes, and the reduction is a pure
-/// `max`/`or`, which is reorder-safe; per-range results are merged in ascending range
-/// order.  The sequential scan reaches unsupported vertices through the support's
-/// adjacency lists; this one scans the whole alive range and keeps exactly the
-/// vertices with at least one supported neighbour — the same set, because edge
-/// visibility in a [`GraphView`] is symmetric.
-pub fn kkt_violation_view_par(view: GraphView<'_>, x: &Embedding, threads: usize) -> f64 {
-    if threads <= 1 {
-        return kkt_violation_view(view, x);
-    }
-    let lambda = 2.0 * x.affinity_view(view);
-    let support = x.support();
-    let support = &support;
-    let n = view.num_vertices();
-    let support_chunk = support.len().div_ceil(threads).max(1);
-    let vertex_chunk = n.div_ceil(threads).max(1);
-
-    let merged: Vec<(f64, bool)> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..threads)
-            .map(|t| {
-                scope.spawn(move || {
-                    let mut violation: f64 = 0.0;
-                    // Supported vertices of this range: gradient must equal λ.
-                    let s0 = (t * support_chunk).min(support.len());
-                    let s1 = ((t + 1) * support_chunk).min(support.len());
-                    for &u in &support[s0..s1] {
-                        let grad = 2.0 * x.weighted_sum_at_view(view, u);
-                        violation = violation.max((grad - lambda).abs());
-                    }
-                    // Unsupported vertices of this range adjacent to the support:
-                    // gradient must not exceed λ.
-                    let v0 = (t * vertex_chunk).min(n);
-                    let v1 = ((t + 1) * vertex_chunk).min(n);
-                    let mut checked_zero = false;
-                    for v in v0..v1 {
-                        let v = v as VertexId;
-                        if !view.is_alive(v) || x.get(v) > 0.0 {
-                            continue;
-                        }
-                        let adjacent = view.neighbors(v).any(|e| x.get(e.neighbor) > 0.0);
-                        if !adjacent {
-                            continue;
-                        }
-                        let grad = 2.0 * x.weighted_sum_at_view(view, v);
-                        violation = violation.max((grad - lambda).max(0.0));
-                        checked_zero = true;
-                    }
-                    (violation, checked_zero)
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("KKT scan worker panicked"))
-            .collect()
-    });
-
-    let mut violation: f64 = 0.0;
-    let mut checked_zero = false;
-    for (part, checked) in merged {
-        violation = violation.max(part);
-        checked_zero |= checked;
-    }
-    if lambda < 0.0 && (!checked_zero || x.support_size() < view.alive_count()) {
-        violation = violation.max(-lambda);
-    }
-    violation
-}
-
-/// [`local_kkt_gap_view`] scanned by `threads` workers over disjoint ranges of the
-/// working set.  Bit-identical to the sequential gap: per-vertex gradients are the
-/// same row-order sums and the `max`/`min` reductions are reorder-safe; per-range
-/// extrema are merged in ascending range order.
-pub fn local_kkt_gap_view_par(
-    view: GraphView<'_>,
-    x: &Embedding,
-    support: &[VertexId],
-    threads: usize,
-) -> f64 {
-    if threads <= 1 {
-        return local_kkt_gap_view(view, x, support);
-    }
-    let chunk = support.len().div_ceil(threads).max(1);
-    let merged: Vec<(f64, f64)> = std::thread::scope(|scope| {
-        let handles: Vec<_> = support
-            .chunks(chunk)
-            .map(|range| {
-                scope.spawn(move || {
-                    let mut max_grad = f64::NEG_INFINITY;
-                    let mut min_grad = f64::INFINITY;
-                    for &k in range {
-                        let grad = 2.0 * x.weighted_sum_at_view(view, k);
-                        let xk = x.get(k);
-                        if xk < 1.0 {
-                            max_grad = max_grad.max(grad);
-                        }
-                        if xk > 0.0 {
-                            min_grad = min_grad.min(grad);
-                        }
-                    }
-                    (max_grad, min_grad)
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("local KKT scan worker panicked"))
-            .collect()
-    });
-
-    let mut max_grad = f64::NEG_INFINITY;
-    let mut min_grad = f64::INFINITY;
-    for (hi, lo) in merged {
-        max_grad = max_grad.max(hi);
-        min_grad = min_grad.min(lo);
-    }
-    if max_grad == f64::NEG_INFINITY || min_grad == f64::INFINITY {
-        0.0
-    } else {
-        (max_grad - min_grad).max(0.0)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -46,7 +46,7 @@ pub use newsea::{
     smart_initialization_order, smart_initialization_order_in, smart_initialization_order_par_in,
     smart_initialization_order_view_into, NewSea, SmartInitStats,
 };
-pub use parallel::{parallel_newsea, parallel_sweep};
+pub use parallel::parallel_sweep;
 pub use refine::{refine, refine_with_workspace};
 pub use seacd::{SeaCd, SeaCdRun, SeaCdSweep};
 

@@ -83,24 +83,6 @@ impl NewSea {
         self.solve_bounded(gd, seed, &SolveContext::unbounded()).0
     }
 
-    /// Same as [`Self::solve`] but takes a materialised `G_{D+}` directly — a legacy
-    /// wrapper kept for callers that already hold the positive part; the canonical
-    /// path mines the positive-filtered view of `G_D` without building it.
-    pub fn solve_on_positive_part(&self, gd_plus: &SignedGraph) -> DcsgaSolution {
-        self.solve_on_positive_part_seeded(gd_plus, &[])
-    }
-
-    /// [`Self::solve_seeded`] on an already-materialised `G_{D+}` (legacy wrapper;
-    /// the positive filter is a no-op on it).
-    pub fn solve_on_positive_part_seeded(
-        &self,
-        gd_plus: &SignedGraph,
-        seed: &[VertexId],
-    ) -> DcsgaSolution {
-        self.solve_on_positive_part_bounded(gd_plus, seed, &SolveContext::unbounded())
-            .0
-    }
-
     /// [`Self::solve_seeded`] under a [`SolveContext`]: mines the positive-filtered
     /// view of `gd` under the context's bounds and workspace.
     pub fn solve_bounded(
@@ -110,17 +92,6 @@ impl NewSea {
         cx: &SolveContext,
     ) -> (DcsgaSolution, SolveStats) {
         self.solve_on_view_bounded(GraphView::full(gd), seed, cx)
-    }
-
-    /// [`Self::solve_on_positive_part_seeded`] under a [`SolveContext`] (legacy
-    /// wrapper over the view path).
-    pub fn solve_on_positive_part_bounded(
-        &self,
-        gd_plus: &SignedGraph,
-        seed: &[VertexId],
-        cx: &SolveContext,
-    ) -> (DcsgaSolution, SolveStats) {
-        self.solve_on_view_bounded(GraphView::full(gd_plus), seed, cx)
     }
 
     /// The canonical NewSEA entry point: the µ_u-ordered sweep over the
@@ -611,7 +582,7 @@ mod tests {
     fn view_solve_equals_materialized_positive_part() {
         let gd = two_cliques();
         let via_view = NewSea::default().solve(&gd);
-        let via_materialized = NewSea::default().solve_on_positive_part(&gd.positive_part());
+        let via_materialized = NewSea::default().solve(&gd.positive_part());
         assert_eq!(via_view.support(), via_materialized.support());
         assert_eq!(
             via_view.affinity_difference.to_bits(),

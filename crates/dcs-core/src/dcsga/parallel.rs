@@ -1,80 +1,31 @@
-//! Parallel initialisation sweeps for the DCSGA solvers.
+//! The exhaustive SEACD+Refine initialisation sweep, fanned out over worker threads.
 //!
-//! The SEACD/NewSEA initialisations are independent local searches, so they parallelise
-//! naturally: each worker repeatedly claims the next candidate vertex and runs
-//! SEACD + refinement from it.  Two entry points are provided:
-//!
-//! * [`parallel_sweep`] — the exhaustive one-initialisation-per-vertex sweep of the
-//!   `SEACD+Refine` comparator, fanned out over worker threads,
-//! * [`parallel_newsea`] — NewSEA's smart-initialisation sweep with a *shared* best
-//!   objective: workers claim candidates in descending `µ_u` order and stop as soon as
-//!   the next candidate's bound cannot beat the best solution any worker has found.
-//!
-//! Both produce the same best objective as their sequential counterparts (the set of
-//! initialisations that can win is identical); only the *number* of initialisations that
-//! NewSEA actually runs may differ slightly, because workers that are already in flight
-//! when the winning solution is found still finish their candidate.
+//! The initialisations are independent local searches, so they parallelise naturally:
+//! each scoped worker claims the next candidate vertex from a shared atomic index and
+//! runs SEACD + refinement from it in its own workspace, keeping its own incumbent and
+//! its own collected solutions.  Nothing is shared but the index; after the join the
+//! per-worker incumbents are merged in ascending seed order, so [`parallel_sweep`] is
+//! bit-identical to [`SeaCd::sweep`] at every thread count and under any scheduling.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use dcs_densest::Embedding;
 use dcs_graph::{GraphView, SignedGraph, VertexId, Weight};
-use parking_lot::Mutex;
 
-use super::newsea::{smart_initialization_order, SmartInitStats};
 use super::refine::{refine, refine_with_workspace};
 use super::seacd::{SeaCd, SeaCdSweep};
-use super::{DcsgaConfig, DcsgaSolution};
+use super::DcsgaConfig;
 use crate::workspace::SolverWorkspace;
 
-/// Shared best-so-far state of a parallel sweep: `(objective, seed vertex of the
-/// winning initialisation, embedding)`.
-struct SharedBest {
-    best: Mutex<(Weight, VertexId, Embedding)>,
-}
-
-/// Sentinel seed of the initial empty incumbent: a real offer never ties against it
-/// (the incumbent must first be beaten on the objective, exactly as before).
-const UNSEEDED: VertexId = VertexId::MAX;
-
-impl SharedBest {
-    fn new() -> Self {
-        SharedBest {
-            best: Mutex::new((0.0, UNSEEDED, Embedding::default())),
-        }
-    }
-
-    fn objective(&self) -> Weight {
-        self.best.lock().0
-    }
-
-    /// Whether `(objective, seed)` replaces the incumbent: strictly better objective,
-    /// or an exact objective tie broken towards the **lowest seed vertex** — so the
-    /// winning embedding is deterministic under any scheduling and thread count.
-    fn wins(objective: Weight, seed: VertexId, incumbent: &(Weight, VertexId, Embedding)) -> bool {
-        objective > incumbent.0
-            || (incumbent.1 != UNSEEDED && objective == incumbent.0 && seed < incumbent.1)
-    }
-
-    /// Offers the solution of the initialisation seeded at `seed`.  Losing offers
-    /// never clone: the embedding is cloned outside the lock only after a first
-    /// check says the offer currently wins, and installed only if it still wins on
-    /// the re-check (another worker may have improved the incumbent in between).
-    fn offer(&self, objective: Weight, seed: VertexId, embedding: &Embedding) {
-        if !Self::wins(objective, seed, &self.best.lock()) {
-            return;
-        }
-        let owned = embedding.clone();
-        let mut guard = self.best.lock();
-        if Self::wins(objective, seed, &guard) {
-            *guard = (objective, seed, owned);
-        }
-    }
-
-    fn into_best(self) -> (Weight, Embedding) {
-        let (objective, _, embedding) = self.best.into_inner();
-        (objective, embedding)
-    }
+/// What one worker of [`parallel_sweep`] hands back at the join.
+struct WorkerResult {
+    /// The worker's incumbent `(objective, seed vertex, embedding)`: the first of its
+    /// candidates, in claim (= ascending seed) order, with the greatest objective
+    /// above 0; `None` when none beat 0.
+    best: Option<(Weight, VertexId, Embedding)>,
+    expansion_errors: usize,
+    /// `(candidate index, refined embedding)`, only when solutions are collected.
+    solutions: Vec<(usize, Embedding)>,
 }
 
 /// Clamps a requested thread count to something sensible (`1..=available_parallelism`).
@@ -88,9 +39,10 @@ fn effective_threads(requested: usize) -> usize {
 /// Runs the exhaustive SEACD+Refine sweep (one initialisation per non-isolated vertex of
 /// `gd_plus`) across `threads` worker threads.
 ///
-/// Returns the same [`SeaCdSweep`] shape as [`SeaCd::sweep`]; `all_solutions` is only
-/// populated when `collect_all` is set, in vertex order (so the clique census is
-/// deterministic regardless of scheduling).
+/// Returns exactly what [`SeaCd::sweep`] with [`refine`] returns: the winner is the
+/// initialisation with the strictly greatest objective, ties going to the lowest seed
+/// vertex, and `all_solutions` (populated only when `collect_all` is set) is in vertex
+/// order, so the clique census does not depend on scheduling or thread count.
 pub fn parallel_sweep(
     gd_plus: &SignedGraph,
     config: DcsgaConfig,
@@ -103,133 +55,78 @@ pub fn parallel_sweep(
         return SeaCd::new(config).sweep(gd_plus, None, collect_all, |g, x| refine(g, x, &config));
     }
 
-    let candidates: Vec<u32> = (0..n as u32).filter(|&u| gd_plus.degree(u) > 0).collect();
+    let candidates: Vec<VertexId> = (0..n as VertexId)
+        .filter(|&u| gd_plus.degree(u) > 0)
+        .collect();
     let next = AtomicUsize::new(0);
-    let shared = SharedBest::new();
-    let errors = AtomicUsize::new(0);
-    let per_candidate: Vec<Mutex<Option<Embedding>>> =
-        (0..candidates.len()).map(|_| Mutex::new(None)).collect();
-
-    crossbeam::scope(|scope| {
-        for _ in 0..threads {
-            scope.spawn(|_| {
-                let solver = SeaCd::new(config);
-                // One dense workspace per worker, reused across its initialisations.
-                let mut ws = SolverWorkspace::new();
-                let view = GraphView::full(gd_plus);
-                loop {
-                    let index = next.fetch_add(1, Ordering::Relaxed);
-                    let Some(&u) = candidates.get(index) else {
-                        break;
-                    };
-                    let run =
-                        solver.run_on_view_in(view, Embedding::singleton(u), &mut ws, |_| false);
-                    errors.fetch_add(run.expansion_errors, Ordering::Relaxed);
-                    let refined = refine_with_workspace(gd_plus, run.embedding, &config, &mut ws);
-                    let objective = refined.affinity(gd_plus);
-                    shared.offer(objective, u, &refined);
-                    if collect_all {
-                        *per_candidate[index].lock() = Some(refined);
-                    }
-                }
-            });
+    let worker = || {
+        let solver = SeaCd::new(config);
+        let mut ws = SolverWorkspace::new();
+        let view = GraphView::full(gd_plus);
+        let mut out = WorkerResult {
+            best: None,
+            expansion_errors: 0,
+            solutions: Vec::new(),
+        };
+        loop {
+            let index = next.fetch_add(1, Ordering::Relaxed);
+            let Some(&u) = candidates.get(index) else {
+                break;
+            };
+            let run = solver.run_on_view_in(view, Embedding::singleton(u), &mut ws, |_| false);
+            out.expansion_errors += run.expansion_errors;
+            let refined = refine_with_workspace(gd_plus, run.embedding, &config, &mut ws);
+            let objective = refined.affinity(gd_plus);
+            let incumbent = out.best.as_ref().map_or(0.0, |best| best.0);
+            if objective > incumbent {
+                out.best = Some((objective, u, refined.clone()));
+            }
+            if collect_all {
+                out.solutions.push((index, refined));
+            }
         }
-    })
-    .expect("sweep worker panicked");
-
-    let initializations = candidates.len();
-    let all_solutions = if collect_all {
-        per_candidate
-            .into_iter()
-            .filter_map(|slot| slot.into_inner())
-            .collect()
-    } else {
-        Vec::new()
+        out
     };
-    let (best_objective, best) = shared.into_best();
+    let results: Vec<WorkerResult> = std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..threads).map(|_| scope.spawn(worker)).collect();
+        handles
+            .into_iter()
+            .map(|h| h.join().expect("sweep worker panicked"))
+            .collect()
+    });
+
+    let mut incumbents = Vec::with_capacity(threads);
+    let mut solutions = Vec::new();
+    let mut expansion_errors = 0;
+    for result in results {
+        incumbents.extend(result.best);
+        solutions.extend(result.solutions);
+        expansion_errors += result.expansion_errors;
+    }
+    // Merge in ascending seed order: only a strictly greater objective replaces the
+    // incumbent, so an exact tie goes to the lower seed, as in the sequential sweep.
+    incumbents.sort_unstable_by_key(|&(_, seed, _)| seed);
+    let mut best_objective = 0.0;
+    let mut best = Embedding::default();
+    for (objective, _, embedding) in incumbents {
+        if objective > best_objective {
+            best_objective = objective;
+            best = embedding;
+        }
+    }
+    solutions.sort_unstable_by_key(|&(index, _)| index);
     SeaCdSweep {
         best,
         best_objective,
-        initializations,
-        expansion_errors: errors.load(Ordering::Relaxed),
-        all_solutions,
-    }
-}
-
-/// Runs NewSEA's smart-initialisation sweep across `threads` worker threads.
-///
-/// Candidates are claimed in descending `µ_u` order; a worker stops as soon as the bound
-/// of its next candidate is no better than the best objective found so far by *any*
-/// worker, which preserves NewSEA's early exit (Theorem 6 guarantees no skipped candidate
-/// could have produced a better solution).
-pub fn parallel_newsea(gd: &SignedGraph, config: DcsgaConfig, threads: usize) -> DcsgaSolution {
-    let gd_plus = gd.positive_part();
-    let threads = effective_threads(threads);
-    if gd_plus.num_edges() == 0 {
-        return DcsgaSolution {
-            embedding: Embedding::default(),
-            affinity_difference: 0.0,
-            stats: SmartInitStats::default(),
-        };
-    }
-    if threads == 1 {
-        return super::NewSea::new(config).solve_on_positive_part(&gd_plus);
-    }
-
-    let order = smart_initialization_order(&gd_plus);
-    let next = AtomicUsize::new(0);
-    let run_count = AtomicUsize::new(0);
-    let errors = AtomicUsize::new(0);
-    let shared = SharedBest::new();
-
-    crossbeam::scope(|scope| {
-        for _ in 0..threads {
-            scope.spawn(|_| {
-                let solver = SeaCd::new(config);
-                // One dense workspace per worker, reused across its initialisations.
-                let mut ws = SolverWorkspace::new();
-                let view = GraphView::full(&gd_plus);
-                loop {
-                    let index = next.fetch_add(1, Ordering::Relaxed);
-                    let Some(&(u, mu)) = order.get(index) else {
-                        break;
-                    };
-                    if mu <= shared.objective() {
-                        // µ values are non-increasing, so every later candidate is also
-                        // dominated; put the index back is unnecessary — just stop.
-                        break;
-                    }
-                    run_count.fetch_add(1, Ordering::Relaxed);
-                    let run =
-                        solver.run_on_view_in(view, Embedding::singleton(u), &mut ws, |_| false);
-                    errors.fetch_add(run.expansion_errors, Ordering::Relaxed);
-                    let refined = refine_with_workspace(&gd_plus, run.embedding, &config, &mut ws);
-                    shared.offer(refined.affinity(&gd_plus), u, &refined);
-                }
-            });
-        }
-    })
-    .expect("NewSEA worker panicked");
-
-    let initializations_run = run_count.load(Ordering::Relaxed);
-    let (best_objective, best) = shared.into_best();
-    DcsgaSolution {
-        embedding: best,
-        affinity_difference: best_objective,
-        stats: SmartInitStats {
-            initializations_run,
-            initializations_skipped: order.len().saturating_sub(initializations_run),
-            expansion_errors: errors.load(Ordering::Relaxed),
-            seeded_runs: 0,
-        },
+        initializations: candidates.len(),
+        expansion_errors,
+        all_solutions: solutions.into_iter().map(|(_, x)| x).collect(),
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dcsga::NewSea;
-    use crate::difference_graph;
     use dcs_graph::GraphBuilder;
 
     /// A heavy 4-clique, a medium 5-clique and background noise.
@@ -275,42 +172,15 @@ mod tests {
     }
 
     #[test]
-    fn parallel_newsea_matches_sequential_objective() {
-        let gd = planted_graph();
-        let config = DcsgaConfig::default();
-        let sequential = NewSea::new(config).solve(&gd);
-        let parallel = parallel_newsea(&gd, config, 4);
-        assert!(
-            (sequential.affinity_difference - parallel.affinity_difference).abs() < 1e-9,
-            "sequential {} vs parallel {}",
-            sequential.affinity_difference,
-            parallel.affinity_difference
-        );
-        assert_eq!(sequential.support(), parallel.support());
-        // The early exit still prunes most candidates.
-        assert!(
-            parallel.stats.initializations_skipped > 0,
-            "ran {} of {}",
-            parallel.stats.initializations_run,
-            parallel.stats.initializations_run + parallel.stats.initializations_skipped
-        );
-    }
-
-    #[test]
     fn degenerate_inputs() {
         let config = DcsgaConfig::default();
         // No positive edges: empty solution, no crash.
         let negative = GraphBuilder::from_edges(3, vec![(0, 1, -1.0)]);
-        let solution = parallel_newsea(&negative, config, 4);
-        assert!(solution.embedding.is_empty());
-        // Empty graph through the sweep path.
+        let sweep = parallel_sweep(&negative.positive_part(), config, 4, true);
+        assert!(sweep.best.is_empty());
+        assert_eq!(sweep.initializations, 0);
+        // Empty graph.
         let sweep = parallel_sweep(&SignedGraph::empty(0), config, 4, true);
         assert_eq!(sweep.initializations, 0);
-        // Single-threaded request falls back to the sequential implementations.
-        let pair_g1 = GraphBuilder::from_edges(4, vec![(0, 1, 1.0)]);
-        let pair_g2 = GraphBuilder::from_edges(4, vec![(0, 1, 3.0), (1, 2, 2.0), (0, 2, 2.0)]);
-        let gd = difference_graph(&pair_g2, &pair_g1).unwrap();
-        let single = parallel_newsea(&gd, config, 1);
-        assert_eq!(single.support(), vec![0, 1, 2]);
     }
 }

@@ -192,8 +192,8 @@ impl SolveContext {
     }
 
     /// Sets the intra-solve parallelism budget: the number of worker threads
-    /// the DCSGA kernels (the NewSEA µ_u sweep and its KKT/expansion range scans)
-    /// may use.  Each greedy peel is sequential, but at two or more threads
+    /// NewSEA's µ_u ordering may use (it fans out only on views with 2048 or more
+    /// alive vertices).  Each greedy peel is sequential, but at two or more threads
     /// DCSGreedy runs its `G_D` and `G_{D+}` peels side by side on two threads.
     /// `1` forces the sequential reference paths; higher values are safe on any
     /// machine because every parallel path is **bit-identical** to its sequential

@@ -80,14 +80,14 @@ proptest! {
     }
 
     /// View-based NewSEA — the canonical path, which positive-filters the signed
-    /// difference graph in place — equals solving the materialised `positive_part()`
-    /// through the legacy wrapper, bit for bit.
+    /// difference graph in place — equals solving the materialised `positive_part()`,
+    /// bit for bit.
     #[test]
     fn view_newsea_equals_materialized_positive_part(gd in arb_graph()) {
         let solver = NewSea::default();
         let via_view = solver.solve(&gd);
         let gd_plus = gd.positive_part();
-        let via_materialized = solver.solve_on_positive_part(&gd_plus);
+        let via_materialized = solver.solve(&gd_plus);
         assert_bit_identical(&via_view, &via_materialized)?;
         // The solution is a positive clique of G_D (Theorem 5) and a KKT point of
         // the positive view (Eq. 7), up to the configured tolerances.

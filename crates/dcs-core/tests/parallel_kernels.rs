@@ -1,12 +1,7 @@
-//! Property-based tests of the parallel oracle kernels against their sequential
-//! twins — the contract the parallel solvers rest on is **bit-identity**, not
-//! approximate agreement:
+//! Property-based tests of the parallel solver paths against their sequential
+//! twins — the contract they rest on is **bit-identity**, not approximate
+//! agreement:
 //!
-//! * [`kkt_violation_view_par`] == [`kkt_violation_view`] to the last bit across
-//!   randomized signed graphs, embeddings, and thread counts {1, 2, 4};
-//! * [`local_kkt_gap_view_par`] == [`local_kkt_gap_view`] likewise;
-//! * `expansion_candidates_view_par` returns exactly the sequential candidate set
-//!   `Z`, in the same (ascending) order;
 //! * the parallel NewSEA µ_u sweep ([`smart_initialization_order_par_in`]) produces
 //!   the same `(vertex, µ_u)` order as [`smart_initialization_order_in`], with the
 //!   core/order/scratch buffers reused across thread counts (the risky part: stale
@@ -15,23 +10,21 @@
 //!   threads, returns the same subset, objective bits, winner, `ρ_{D+}` bits and
 //!   `SolveStats` at threads {1, 2, 4} under every budget around the point where
 //!   the second peel's budget is forked off, and so do the average-degree top-k
-//!   and α-sweep drivers built on it.
+//!   and α-sweep drivers built on it;
+//! * the `dcs census` sweep ([`parallel_sweep`]) returns the same winner, counters
+//!   and per-candidate solutions as the sequential [`SeaCd::sweep`] at threads
+//!   {1, 2, 4}, with exact objective ties broken towards the lowest seed.
 
 use dcs_core::dcsad::{CandidateKind, DcsGreedy};
-use dcs_core::dcsga::kkt::{
-    kkt_violation_view, kkt_violation_view_par, local_kkt_gap_view, local_kkt_gap_view_par,
-};
 use dcs_core::dcsga::{
-    smart_initialization_order_in, smart_initialization_order_par_in, DcsgaConfig,
+    parallel_sweep, refine, smart_initialization_order_in, smart_initialization_order_par_in,
+    DcsgaConfig, SeaCd,
 };
 use dcs_core::engine::{CancelToken, SolveContext, Termination};
 use dcs_core::{
     alpha_sweep_in, default_alpha_grid, top_k_in, DensityMeasure, Embedding, SharedWorkspace,
 };
-use dcs_densest::{
-    expansion_candidates_view, expansion_candidates_view_par, greedy_peeling_view_into,
-    PeelWorkspace,
-};
+use dcs_densest::{greedy_peeling_view_into, PeelWorkspace};
 use dcs_graph::{CoreScratch, GraphBuilder, GraphView, SignedGraph, VertexId, VertexMask, Weight};
 use proptest::prelude::*;
 
@@ -111,6 +104,39 @@ fn arb_graph_pair() -> impl Strategy<Value = (SignedGraph, SignedGraph)> {
                 (build(edges1), build(edges2))
             })
     })
+}
+
+/// Strategy: the positive part of a random signed graph over `n < 24` vertices, or
+/// the empty graph.  Half the draws take every weight from {1, 2, 4}, so that
+/// distinct initialisations reach exactly equal objectives.
+fn arb_sweep_graph() -> impl Strategy<Value = SignedGraph> {
+    let random = (1usize..24, any::<bool>()).prop_flat_map(|(n, tied)| {
+        let edge = (
+            0..n as u32,
+            0..n as u32,
+            -6.0f64..6.0,
+            proptest::sample::select(vec![1.0, 2.0, 4.0]),
+        );
+        (Just(tied), proptest::collection::vec(edge, 0..90)).prop_map(move |(tied, edges)| {
+            let mut b = GraphBuilder::new(n);
+            for (u, v, w, level) in edges {
+                let w = if tied { level } else { w };
+                if u != v && w != 0.0 {
+                    b.add_edge(u, v, w);
+                }
+            }
+            b.build().positive_part()
+        })
+    });
+    prop_oneof![1 => Just(SignedGraph::empty(0)), 15 => random]
+}
+
+/// An embedding as `(vertex, value bits)` pairs in vertex order.
+fn embedding_bits(x: &Embedding) -> Vec<(VertexId, u64)> {
+    x.support()
+        .into_iter()
+        .map(|v| (v, x.get(v).to_bits()))
+        .collect()
 }
 
 /// Everything a DCSGreedy solve reports that must not depend on the thread count.
@@ -250,55 +276,6 @@ proptest! {
         assert_eq!(run(1), run(4));
     }
 
-    /// The global KKT oracle: parallel range scans merge to the exact sequential
-    /// violation, on the full signed view and the positive-filtered overlay.
-    #[test]
-    fn kkt_violation_par_is_bit_identical((g, x) in arb_graph_and_embedding()) {
-        for view in [GraphView::full(&g), GraphView::full(&g).positive_part()] {
-            let seq = kkt_violation_view(view, &x);
-            for threads in [1usize, 2, 4] {
-                let par = kkt_violation_view_par(view, &x, threads);
-                assert_eq!(
-                    seq.to_bits(), par.to_bits(),
-                    "threads={}: {} vs {}", threads, seq, par
-                );
-            }
-        }
-    }
-
-    /// The local KKT gap over the working set: per-range max/min extrema merge to
-    /// the sequential gap bit for bit.
-    #[test]
-    fn local_kkt_gap_par_is_bit_identical((g, x) in arb_graph_and_embedding()) {
-        let support: Vec<VertexId> = x.support();
-        for view in [GraphView::full(&g), GraphView::full(&g).positive_part()] {
-            let seq = local_kkt_gap_view(view, &x, &support);
-            for threads in [1usize, 2, 4] {
-                let par = local_kkt_gap_view_par(view, &x, &support, threads);
-                assert_eq!(
-                    seq.to_bits(), par.to_bits(),
-                    "threads={}: {} vs {}", threads, seq, par
-                );
-            }
-        }
-    }
-
-    /// The expansion candidate set `Z`: the parallel whole-range scan keeps exactly
-    /// the vertices the sequential adjacency walk finds, already sorted.
-    #[test]
-    fn expansion_candidates_par_is_identical(
-        (g, x) in arb_graph_and_embedding(),
-        tol in prop_oneof![Just(0.0f64), Just(1e-9), Just(0.1)],
-    ) {
-        for view in [GraphView::full(&g), GraphView::full(&g).positive_part()] {
-            let seq = expansion_candidates_view(view, &x, tol);
-            for threads in [1usize, 2, 4] {
-                let par = expansion_candidates_view_par(view, &x, tol, threads);
-                assert_eq!(&seq, &par, "threads={}", threads);
-            }
-        }
-    }
-
     /// The NewSEA smart-initialisation µ_u sweep: identical `(vertex, µ_u)` pairs in
     /// identical order, with all four scratch buffers reused across thread counts.
     #[test]
@@ -326,6 +303,29 @@ proptest! {
                 );
             }
             assert_eq!(&seq_incident, &par_incident, "threads={}", threads);
+        }
+    }
+
+    /// The census sweep at threads {1, 2, 4} against the sequential sweep: the same
+    /// best objective and embedding bits, counters, and every collected solution in
+    /// vertex order.
+    #[test]
+    fn census_sweep_is_identical_across_thread_counts(g in arb_sweep_graph()) {
+        let config = DcsgaConfig::default();
+        let reference = SeaCd::new(config).sweep(&g, None, true, |g, x| refine(g, x, &config));
+        let reference_solutions: Vec<_> =
+            reference.all_solutions.iter().map(embedding_bits).collect();
+        for threads in [1usize, 2, 4] {
+            let sweep = parallel_sweep(&g, config, threads, true);
+            assert_eq!(
+                sweep.best_objective.to_bits(), reference.best_objective.to_bits(),
+                "threads={}", threads
+            );
+            assert_eq!(embedding_bits(&sweep.best), embedding_bits(&reference.best));
+            assert_eq!(sweep.initializations, reference.initializations);
+            assert_eq!(sweep.expansion_errors, reference.expansion_errors);
+            let solutions: Vec<_> = sweep.all_solutions.iter().map(embedding_bits).collect();
+            assert_eq!(&solutions, &reference_solutions, "threads={}", threads);
         }
     }
 }

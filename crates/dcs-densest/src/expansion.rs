@@ -156,64 +156,6 @@ pub fn expansion_candidates_view(view: GraphView<'_>, x: &Embedding, tol: f64) -
     z
 }
 
-/// [`expansion_candidates_view`] scanned by `threads` workers over disjoint vertex
-/// ranges.
-///
-/// **Bit-identical to the sequential scan.** Each worker walks a contiguous alive
-/// range and keeps the unsupported vertices with at least one supported neighbour
-/// whose gradient beats `λ + tol` — the same set the sequential scan reaches through
-/// the support's adjacency lists, because edge visibility in a [`GraphView`] is
-/// symmetric.  Per-range hits are already ascending, so concatenating the ranges in
-/// order reproduces the sequential sorted output exactly.
-pub fn expansion_candidates_view_par(
-    view: GraphView<'_>,
-    x: &Embedding,
-    tol: f64,
-    threads: usize,
-) -> Vec<VertexId> {
-    if threads <= 1 {
-        return expansion_candidates_view(view, x, tol);
-    }
-    let lambda = 2.0 * x.affinity_view(view);
-    let n = view.num_vertices();
-    let chunk = n.div_ceil(threads).max(1);
-
-    let per_range: Vec<Vec<VertexId>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..threads)
-            .map(|t| {
-                scope.spawn(move || {
-                    let v0 = (t * chunk).min(n);
-                    let v1 = ((t + 1) * chunk).min(n);
-                    let mut hits = Vec::new();
-                    for v in v0..v1 {
-                        let v = v as VertexId;
-                        if !view.is_alive(v) || x.get(v) > 0.0 {
-                            continue;
-                        }
-                        if !view.neighbors(v).any(|e| x.get(e.neighbor) > 0.0) {
-                            continue;
-                        }
-                        if 2.0 * x.weighted_sum_at_view(view, v) > lambda + tol {
-                            hits.push(v);
-                        }
-                    }
-                    hits
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("expansion scan worker panicked"))
-            .collect()
-    });
-
-    let mut z = Vec::with_capacity(per_range.iter().map(Vec::len).sum());
-    for hits in per_range {
-        z.extend(hits);
-    }
-    z
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -44,8 +44,7 @@ pub use charikar::{
     greedy_peeling_with_profile, PeelingProfile, PeelingResult,
 };
 pub use expansion::{
-    expansion_candidates, expansion_candidates_view, expansion_candidates_view_par, expansion_step,
-    ExpansionOutcome,
+    expansion_candidates, expansion_candidates_view, expansion_step, ExpansionOutcome,
 };
 pub use goldberg::{
     densest_subgraph_exact, densest_subgraph_exact_until, densest_subgraph_view_until,

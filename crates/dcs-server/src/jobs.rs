@@ -1,14 +1,13 @@
 //! Mining jobs and the work-stealing worker pool that executes them.
 //!
 //! Mining is CPU-bound, so I/O threads never solve anything themselves: they
-//! submit a [`JobSpec`] and either block on the job's reply channel
-//! ([`WorkerPool::submit`], used by blocking callers and unit tests) or hand
-//! the pool a completion callback ([`WorkerPool::submit_with`], the serving
-//! tier's nonblocking path — the callback renders the response on the worker
-//! thread and posts it back to the owning event loop).  The pool has a fixed
-//! number of workers and a **bounded** admission count — when too many jobs
-//! are pending, submission fails immediately with [`ServerError::Busy`] and
-//! the caller decides how to shed the load.
+//! submit a [`JobSpec`] with a completion callback
+//! ([`WorkerPool::submit_with`]): the callback renders the response on the
+//! worker thread and posts it back to the owning event loop, so no I/O thread
+//! ever blocks on a job.  The pool has a fixed number of workers and a
+//! **bounded** admission count — when too many jobs are pending, submission
+//! fails immediately with [`ServerError::Busy`] and the caller decides how to
+//! shed the load.
 //!
 //! Scheduling is **work-stealing with snapshot batching**: mining jobs park in
 //! a per-session pending list, and the worker that claims a session drains its
@@ -23,7 +22,6 @@
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -308,26 +306,18 @@ enum Snapshot {
 /// tasks thread the workspace into their [`SolveContext`]; observe tasks ignore it).
 pub type Task = Box<dyn FnOnce(&SharedWorkspace) -> Result<Value, ServerError> + Send + 'static>;
 
-/// A completion callback invoked with the job's outcome on a worker thread.
-///
-/// The nonblocking counterpart of a reply channel: the serving tier's I/O
-/// threads must never block on `recv`, so they hand the pool a callback that
-/// renders the response and posts it back to the owning event loop.
+/// A completion callback invoked with the job's outcome on a worker thread:
+/// the reply slot of one submitted job.  The serving tier's I/O threads must
+/// never block on a job, so they hand the pool a callback that renders the
+/// response and posts it back to the owning event loop.
 pub type Completion = Box<dyn FnOnce(Result<Value, ServerError>) + Send + 'static>;
-
-/// A reply slot of one submitted job: a synchronous channel (blocking
-/// callers) or a completion callback (the event-loop path).
-enum Reply {
-    Channel(SyncSender<Result<Value, ServerError>>),
-    Callback(Completion),
-}
 
 /// A mining job waiting in its session's pending list.
 struct MiningJob {
     session: SharedSession,
     spec: JobSpec,
     cx: SolveContext,
-    reply: Reply,
+    reply: Completion,
     /// When the job was accepted — the claiming worker records the wait into
     /// the pool's queue-wait histogram (and, when tracing is enabled, a
     /// [`trace::Phase::QueueWait`] event).
@@ -337,7 +327,7 @@ struct MiningJob {
 /// An opaque task (cadence observes) — unbatchable, runs as-is.
 struct OpaqueJob {
     task: Task,
-    reply: Reply,
+    reply: Completion,
     enqueued: Instant,
 }
 
@@ -355,7 +345,7 @@ struct ReadyGroup {
     cx: SolveContext,
     /// Reply slots in arrival order; the first is the leader, the rest are
     /// answered with the leader's result marked `"coalesced": true`.
-    members: Vec<Reply>,
+    members: Vec<Completion>,
 }
 
 /// A unit of scheduling in the pool's deques.
@@ -442,16 +432,10 @@ impl PoolShared {
     }
 
     /// Replies to one claimed job and closes its inflight accounting.
-    fn finish(&self, reply: Reply, outcome: Result<Value, ServerError>) {
+    fn finish(&self, reply: Completion, outcome: Result<Value, ServerError>) {
         self.executed.fetch_add(1, Ordering::Relaxed);
         self.inflight.dec();
-        match reply {
-            // A dropped reply receiver (client went away) is fine.
-            Reply::Channel(sender) => {
-                let _ = sender.send(outcome);
-            }
-            Reply::Callback(done) => done(outcome),
-        }
+        reply(outcome);
     }
 }
 
@@ -535,11 +519,12 @@ impl WorkerPool {
     }
 
     /// Submits a mining job bounded by `cx`; fails with [`ServerError::Busy`]
-    /// when too many jobs are pending.  On success, the returned receiver
-    /// yields the job's result exactly once.  The context's deadline is
-    /// absolute, so time spent waiting in the queue counts against the job's
-    /// deadline — an overloaded server answers "deadline, best-so-far" rather
-    /// than holding the client for queue time plus solve time.
+    /// when too many jobs are pending.  On success, `done` runs exactly once
+    /// with the job's outcome **on the worker thread** that finishes it.  The
+    /// context's deadline is absolute, so time spent waiting in the queue
+    /// counts against the job's deadline — an overloaded server answers
+    /// "deadline, best-so-far" rather than holding the client for queue time
+    /// plus solve time.
     ///
     /// Jobs against the same session are **batched**: the worker that claims
     /// them drains every pending job for that session in one session-lock
@@ -547,22 +532,6 @@ impl WorkerPool {
     /// `Arc<SignedGraph>` snapshots.  Jobs with the same cache key are solved
     /// once; the followers receive the leader's result with
     /// `"coalesced": true`.
-    pub fn submit(
-        &self,
-        session: SharedSession,
-        spec: JobSpec,
-        cx: SolveContext,
-    ) -> Result<Receiver<Result<Value, ServerError>>, ServerError> {
-        let (reply, receiver) = sync_channel(1);
-        self.submit_reply(session, spec, cx, Reply::Channel(reply))?;
-        Ok(receiver)
-    }
-
-    /// Nonblocking variant of [`Self::submit`]: instead of a reply channel,
-    /// `done` runs with the job's outcome **on the worker thread** that
-    /// finishes it.  The serving tier's event loops use this to stay off
-    /// blocking `recv` calls — the completion renders the response and posts
-    /// it back to the connection's I/O thread.
     pub fn submit_with(
         &self,
         session: SharedSession,
@@ -570,23 +539,13 @@ impl WorkerPool {
         cx: SolveContext,
         done: Completion,
     ) -> Result<(), ServerError> {
-        self.submit_reply(session, spec, cx, Reply::Callback(done))
-    }
-
-    fn submit_reply(
-        &self,
-        session: SharedSession,
-        spec: JobSpec,
-        cx: SolveContext,
-        reply: Reply,
-    ) -> Result<(), ServerError> {
         self.admit()?;
         let key = Arc::as_ptr(&session) as usize;
         let job = MiningJob {
             session,
             spec,
             cx,
-            reply,
+            reply: done,
             enqueued: Instant::now(),
         };
         let shard = self.shared.mining_shard(key);
@@ -606,28 +565,14 @@ impl WorkerPool {
 
     /// Submits an arbitrary task (used for observes on cadence-mining
     /// sessions, which can trigger a solve and therefore must not run on
-    /// I/O threads).  Same bounded-admission semantics as [`Self::submit`];
-    /// opaque tasks are never batched.
-    pub fn submit_task(
-        &self,
-        task: Task,
-    ) -> Result<Receiver<Result<Value, ServerError>>, ServerError> {
-        let (reply, receiver) = sync_channel(1);
-        self.submit_task_reply(task, Reply::Channel(reply))?;
-        Ok(receiver)
-    }
-
-    /// Nonblocking variant of [`Self::submit_task`] with a completion
-    /// callback instead of a reply channel.
+    /// I/O threads), with `done` run on the worker thread that finishes it.
+    /// Same bounded-admission semantics as [`Self::submit_with`]; opaque tasks
+    /// are never batched.
     pub fn submit_task_with(&self, task: Task, done: Completion) -> Result<(), ServerError> {
-        self.submit_task_reply(task, Reply::Callback(done))
-    }
-
-    fn submit_task_reply(&self, task: Task, reply: Reply) -> Result<(), ServerError> {
         self.admit()?;
         self.shared.injector.push(Ticket::Opaque(OpaqueJob {
             task,
-            reply,
+            reply: done,
             enqueued: Instant::now(),
         }));
         self.shared.wake();
@@ -965,6 +910,23 @@ mod tests {
     use super::*;
     use crate::session::Session;
     use dcs_core::StreamingConfig;
+    use std::sync::mpsc::{sync_channel, Receiver};
+
+    /// Submits a mining job whose completion sends the outcome down a fresh
+    /// channel, for tests that block on the reply.
+    fn submit_via_channel(
+        pool: &WorkerPool,
+        session: &SharedSession,
+        spec: JobSpec,
+        cx: SolveContext,
+    ) -> Result<Receiver<Result<Value, ServerError>>, ServerError> {
+        let (tx, rx) = sync_channel(1);
+        let done: Completion = Box::new(move |outcome| {
+            let _ = tx.send(outcome);
+        });
+        pool.submit_with(Arc::clone(session), spec, cx, done)?;
+        Ok(rx)
+    }
 
     fn shared_session(vertices: usize) -> SharedSession {
         let config = StreamingConfig {
@@ -1069,8 +1031,9 @@ mod tests {
         seed_triangle(&session);
         let receivers: Vec<_> = (0..6)
             .map(|_| {
-                pool.submit(
-                    Arc::clone(&session),
+                submit_via_channel(
+                    &pool,
+                    &session,
                     JobSpec::Mine { measure: None },
                     SolveContext::unbounded(),
                 )
@@ -1105,15 +1068,13 @@ mod tests {
         seed_triangle(&session);
         let cx = || SolveContext::unbounded().with_budget(0);
         let guard = session.lock().unwrap();
-        let first = pool
-            .submit(Arc::clone(&session), JobSpec::Mine { measure: None }, cx())
-            .unwrap();
+        let first =
+            submit_via_channel(&pool, &session, JobSpec::Mine { measure: None }, cx()).unwrap();
         // Give the worker time to claim the first job and block on the lock.
         std::thread::sleep(Duration::from_millis(100));
         let rest: Vec<_> = (0..3)
             .map(|_| {
-                pool.submit(Arc::clone(&session), JobSpec::Mine { measure: None }, cx())
-                    .unwrap()
+                submit_via_channel(&pool, &session, JobSpec::Mine { measure: None }, cx()).unwrap()
             })
             .collect();
         drop(guard);
@@ -1193,8 +1154,9 @@ mod tests {
         let mut receivers = Vec::new();
         let mut busy = 0usize;
         for _ in 0..3 {
-            match pool.submit(
-                Arc::clone(&session),
+            match submit_via_channel(
+                &pool,
+                &session,
                 JobSpec::Mine { measure: None },
                 SolveContext::unbounded(),
             ) {

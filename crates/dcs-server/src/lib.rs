@@ -235,27 +235,34 @@
 //! different commands still fans out across the pool.  Batch sizes, coalesced
 //! counts and steal counts are exported under `batching` in the server-wide
 //! `stats` payload.  Intra-solve parallelism (how many threads one solve may
-//! use: DCSGreedy's `G_D` and `G_{D+}` peels side by side, the DCSGA µ_u sweep
-//! and KKT scans) is configured separately via [`ServerConfig::solver_threads`].
+//! use: DCSGreedy's `G_D` and `G_{D+}` peels side by side and the NewSEA µ_u
+//! ordering) is configured separately via [`ServerConfig::solver_threads`].
 //!
 //! ## Example
 //!
 //! ```
-//! use dcs_server::{Client, Server, ServerConfig};
-//! use serde_json::json;
+//! use dcs_server::{Client, CreateSessionRequest, Server, ServerConfig};
 //!
 //! let handle = Server::bind("127.0.0.1:0", ServerConfig::default()).unwrap().start();
 //! let mut client = Client::connect(handle.local_addr()).unwrap();
 //!
-//! client.create_session("demo", 5, json!({"alert_threshold": 1.0})).unwrap();
-//! client.load_baseline("demo", &[(0, 1, 1.0)]).unwrap();
-//! client.observe("demo", &[(0, 1, 4.0), (0, 2, 3.0), (1, 2, 3.0)]).unwrap();
+//! client
+//!     .create(CreateSessionRequest {
+//!         session: "demo".into(),
+//!         vertices: Some(5),
+//!         alert_threshold: 1.0,
+//!         ..CreateSessionRequest::default()
+//!     })
+//!     .unwrap();
+//! let mut demo = client.session("demo");
+//! demo.load_baseline(&[(0, 1, 1.0)]).unwrap();
+//! demo.observe(&[(0, 1, 4.0), (0, 2, 3.0), (1, 2, 3.0)]).unwrap();
 //!
-//! let mined = client.mine("demo").unwrap();
+//! let mined = demo.mine().unwrap();
 //! assert_eq!(mined["result"]["subset"], serde_json::json!([0, 1, 2]));
 //! assert_eq!(mined["cached"], false);
 //! // Same graph version, same job: served from the session cache.
-//! assert_eq!(client.mine("demo").unwrap()["cached"], true);
+//! assert_eq!(demo.mine().unwrap()["cached"], true);
 //!
 //! client.shutdown().unwrap();
 //! handle.join();
@@ -307,8 +314,7 @@ pub struct ServerConfig {
     /// is not.
     pub max_job_ms: Option<u64>,
     /// Intra-solve parallelism: the number of threads each mining job may use
-    /// *inside* a single solve (the DCSGA µ_u sweep and KKT scans; at two or
-    /// more, DCSGreedy's `G_D` and `G_{D+}` peels run side by side, each peel
+    /// *inside* a single solve (the NewSEA µ_u ordering; at two or more, DCSGreedy's `G_D` and `G_{D+}` peels run side by side, each peel
     /// itself sequential).  `0` (the default) inherits the process-wide
     /// `DCS_SOLVER_THREADS` environment default (itself defaulting to 1).
     /// Results are bit-identical at every value.  Distinct from

@@ -13,8 +13,7 @@ use std::path::{Path, PathBuf};
 use dcs_core::{DensityMeasure, StreamingConfig, StreamingDcs};
 use dcs_datasets::PackWriter;
 use dcs_graph::{SignedGraph, VertexId, Weight};
-use dcs_server::{durable, Client, Server, ServerConfig, Session, WalSync};
-use serde_json::json;
+use dcs_server::{durable, Client, CreateSessionRequest, Server, ServerConfig, Session, WalSync};
 
 fn temp_dir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("dcs_recovery_{tag}_{}", std::process::id()));
@@ -277,12 +276,18 @@ fn server_restart_recovers_durable_sessions() {
         .start();
     let mut client = Client::connect(handle.local_addr()).unwrap();
     let created = client
-        .create_session("tenant", 32, json!({ "durable": true, "remine_every": 3 }))
+        .create(CreateSessionRequest {
+            session: "tenant".into(),
+            vertices: Some(32),
+            durable: true,
+            remine_every: 3,
+            ..CreateSessionRequest::default()
+        })
         .unwrap();
     assert_eq!(created["durable"], true);
     assert_eq!(created["recovered"], false);
     let ring: Vec<(u32, u32, f64)> = (0..32u32).map(|v| (v, (v + 1) % 32, 1.0)).collect();
-    client.load_baseline("tenant", &ring).unwrap();
+    client.session("tenant").load_baseline(&ring).unwrap();
     let mut acked_version = 0;
     for batch in batches(32, 12, 0xdc5_0040) {
         let response = client.session("tenant").observe(&batch).unwrap();
@@ -305,7 +310,12 @@ fn server_restart_recovers_durable_sessions() {
     assert_eq!(bumped["version"], acked_version + 1);
     // A durable create against a live name is a conflict, same as ephemeral.
     let conflict = client
-        .create_session("tenant", 32, json!({ "durable": true }))
+        .create(CreateSessionRequest {
+            session: "tenant".into(),
+            vertices: Some(32),
+            durable: true,
+            ..CreateSessionRequest::default()
+        })
         .unwrap_err();
     assert!(matches!(conflict, dcs_server::ServerError::Remote(ref msg)
         if msg == "session \"tenant\" already exists"));
@@ -319,7 +329,12 @@ fn server_restart_recovers_durable_sessions() {
     let offline_version = offline.version();
     drop(offline);
     let adopted = client
-        .create_session("adopted", 8, json!({ "durable": true }))
+        .create(CreateSessionRequest {
+            session: "adopted".into(),
+            vertices: Some(8),
+            durable: true,
+            ..CreateSessionRequest::default()
+        })
         .unwrap();
     assert_eq!(adopted["recovered"], true);
     let stats = client.session("adopted").stats().unwrap();
@@ -344,11 +359,22 @@ fn durable_create_requires_a_data_dir() {
         .start();
     let mut client = Client::connect(handle.local_addr()).unwrap();
     let error = client
-        .create_session("nope", 8, json!({ "durable": true }))
+        .create(CreateSessionRequest {
+            session: "nope".into(),
+            vertices: Some(8),
+            durable: true,
+            ..CreateSessionRequest::default()
+        })
         .unwrap_err();
     assert!(matches!(error, dcs_server::ServerError::Remote(ref msg)
         if msg == "bad request: durable sessions require a server data directory (serve --data-dir)"));
-    let created = client.create_session("mem", 8, json!({})).unwrap();
+    let created = client
+        .create(CreateSessionRequest {
+            session: "mem".into(),
+            vertices: Some(8),
+            ..CreateSessionRequest::default()
+        })
+        .unwrap();
     assert_eq!(created["backing"], "memory");
     assert!(created["durable"].is_null());
     client.shutdown().unwrap();

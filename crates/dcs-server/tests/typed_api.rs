@@ -1,8 +1,7 @@
 //! Tests of the typed protocol layer over a live server: the
-//! `Client::session` handle API, the `"proto"` version field, and the
-//! backward-compatible legacy wrappers.
+//! `Client::session` handle API and the `"proto"` version field.
 
-use dcs_server::{Client, Server, ServerConfig, ServerError, PROTO_VERSION};
+use dcs_server::{Client, CreateSessionRequest, Server, ServerConfig, ServerError, PROTO_VERSION};
 use serde_json::json;
 
 fn start_server() -> dcs_server::ServerHandle {
@@ -16,7 +15,13 @@ fn start_server() -> dcs_server::ServerHandle {
 fn session_handle_round_trip() {
     let handle = start_server();
     let mut client = Client::connect(handle.local_addr()).unwrap();
-    client.create_session("typed", 16, json!({})).unwrap();
+    client
+        .create(CreateSessionRequest {
+            session: "typed".into(),
+            vertices: Some(16),
+            ..CreateSessionRequest::default()
+        })
+        .unwrap();
 
     let mut session = client.session("typed");
     assert_eq!(session.name(), "typed");
@@ -88,33 +93,6 @@ fn proto_version_is_stamped_and_checked() {
     let mut raw = Client::connect(handle.local_addr()).unwrap();
     let error = raw.request(json!({ "cmd": "stats", "session": "ghost" }));
     assert!(error.is_err());
-    client.shutdown().unwrap();
-    handle.join();
-}
-
-/// The historical string-based helpers still speak the same wire protocol
-/// (they now delegate to the typed layer internally).
-#[test]
-fn legacy_wrappers_still_work() {
-    let handle = start_server();
-    let mut client = Client::connect(handle.local_addr()).unwrap();
-    client
-        .create_session("legacy", 8, json!({ "measure": "affinity" }))
-        .unwrap();
-    client
-        .load_baseline("legacy", &[(0, 1, 1.0), (1, 2, 1.0)])
-        .unwrap();
-    let observed = client.observe("legacy", &[(0, 1, 3.0)]).unwrap();
-    assert_eq!(observed["applied"], 1);
-    let mined = client.mine("legacy").unwrap();
-    assert_eq!(mined["ok"], true);
-    let with_measure = client.mine_with_measure("legacy", "degree").unwrap();
-    assert_eq!(with_measure["ok"], true);
-    assert_eq!(with_measure["cached"], false);
-    let deadline = client.mine_with_deadline("legacy", 10_000).unwrap();
-    assert_eq!(deadline["ok"], true);
-    assert_eq!(client.stats("legacy").unwrap()["vertices"], 8);
-    client.drop_session("legacy").unwrap();
     client.shutdown().unwrap();
     handle.join();
 }

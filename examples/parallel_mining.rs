@@ -1,11 +1,14 @@
-//! Parallel initialisation sweeps: the same answer as sequential NewSEA, in a fraction of
-//! the wall-clock time on multi-core machines.
+//! Parallel mining: the same answer as sequential mining, bit for bit, at any thread
+//! count.
 //!
-//! The SEACD/NewSEA initialisations are independent local searches, so the library offers
-//! `parallel_newsea` (smart initialisation with a shared early-exit bound) and
-//! `parallel_sweep` (the exhaustive SEACD+Refine sweep).  This example runs both against
-//! their sequential counterparts on a mid-sized synthetic co-author pair and prints the
-//! objective values and timings side by side.
+//! Two affinity paths fan out over scoped worker threads.  NewSEA under a
+//! `SolveContext::with_threads` budget computes its µ_u ordering in parallel on views
+//! with 2048 or more alive vertices (the initialisations themselves stay sequential,
+//! so the early-exit bound prunes exactly as in a one-thread solve), and
+//! `parallel_sweep` fans the exhaustive SEACD+Refine sweep out over its
+//! initialisations.  This example runs both at one thread and at every available
+//! thread on a mid-sized synthetic co-author pair and prints the objective values and
+//! timings side by side.
 //!
 //! Run with:
 //! ```text
@@ -14,7 +17,7 @@
 
 use std::time::Instant;
 
-use dcs::core::dcsga::{parallel_newsea, parallel_sweep, refine, DcsgaConfig, SeaCd};
+use dcs::core::dcsga::{parallel_sweep, refine, DcsgaConfig, SeaCd};
 use dcs::core::difference_graph;
 use dcs::datasets::{CoauthorConfig, Scale};
 use dcs::prelude::*;
@@ -34,13 +37,16 @@ fn main() {
         threads
     );
 
-    // --- NewSEA: sequential vs parallel. ---------------------------------------------
+    // --- NewSEA: one thread vs every available thread. --------------------------------
+    let solver = NewSea::new(config);
     let start = Instant::now();
-    let sequential = NewSea::new(config).solve(&gd);
+    let (sequential, _) =
+        solver.solve_bounded(&gd, &[], &SolveContext::unbounded().with_threads(1));
     let sequential_time = start.elapsed();
 
     let start = Instant::now();
-    let parallel = parallel_newsea(&gd, config, threads);
+    let (parallel, _) =
+        solver.solve_bounded(&gd, &[], &SolveContext::unbounded().with_threads(threads));
     let parallel_time = start.elapsed();
 
     println!("\nNewSEA (smart initialisation)");
@@ -58,7 +64,11 @@ fn main() {
         parallel.stats.initializations_run,
         parallel_time.as_secs_f64()
     );
-    assert!((sequential.affinity_difference - parallel.affinity_difference).abs() < 1e-9);
+    assert_eq!(
+        sequential.affinity_difference.to_bits(),
+        parallel.affinity_difference.to_bits()
+    );
+    assert_eq!(sequential.stats, parallel.stats);
 
     // --- Exhaustive SEACD+Refine sweep: sequential vs parallel. ------------------------
     let start = Instant::now();
@@ -84,10 +94,13 @@ fn main() {
         sweep_parallel_time.as_secs_f64(),
         sweep_sequential_time.as_secs_f64() / sweep_parallel_time.as_secs_f64().max(1e-9)
     );
-    assert!((sweep_sequential.best_objective - sweep_parallel.best_objective).abs() < 1e-9);
+    assert_eq!(
+        sweep_sequential.best_objective.to_bits(),
+        sweep_parallel.best_objective.to_bits()
+    );
 
     println!(
-        "\nboth parallel variants return exactly the sequential objective; NewSEA itself \
+        "\nboth parallel runs return exactly the sequential result; NewSEA itself \
          needed only {} of {} possible initialisations thanks to the Theorem-6 bound",
         parallel.stats.initializations_run,
         parallel.stats.initializations_run + parallel.stats.initializations_skipped
