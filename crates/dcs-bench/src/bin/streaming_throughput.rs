@@ -25,6 +25,12 @@
 //! p99 mine latency per level.  These numbers are informational — wall-clock
 //! throughput is machine-dependent, so nothing gates on them.
 //!
+//! A `many_clients` section then releases 16 connections at once, round
+//! after round, to mine one session at a freshly bumped version (20 rounds in
+//! `--smoke`, 200 otherwise).  It reports the server's coalesced and cached
+//! job counts, queue-wait p50/p99 and the client-side mine p50/p99; in
+//! `--smoke` mode at least one mine must have been coalesced.
+//!
 //! `--soak` runs only a connection-churn soak: a few hundred connections
 //! open, create/drop sessions, and vanish in waves against one in-process
 //! server, and the process's file-descriptor count must return to its
@@ -215,6 +221,119 @@ fn server_scaling(smoke: bool) -> Value {
     handle.shutdown();
     handle.join();
     json!({ "levels": reports })
+}
+
+/// Percentile of an ascending-sorted sample (0 for an empty one).
+fn percentile(sorted: &[f64], fraction: f64) -> f64 {
+    if sorted.is_empty() {
+        return 0.0;
+    }
+    let rank = (sorted.len() as f64 * fraction) as usize;
+    sorted[rank.min(sorted.len() - 1)]
+}
+
+/// Many clients, one session: every round a writer bumps the session's
+/// version with one observe, then a barrier releases `CLIENTS` connections
+/// that each send one `mine` at that version and wait for the answer.  The
+/// session is large enough that a mine takes milliseconds, so the requests
+/// pile up in the job queue behind the first one and the pool answers the
+/// pile with one solve (followers `"coalesced": true`) or from the result
+/// cache.  Reports the server's coalesced and cached counts, its queue-wait
+/// percentiles and the client-side mine latency; `--smoke` gates on
+/// `coalesced > 0`.
+fn many_clients(smoke: bool) -> Value {
+    const CLIENTS: usize = 16;
+    const VERTICES: u32 = 2_000;
+    let rounds = if smoke { 20 } else { 200 };
+    let handle = Server::bind("127.0.0.1:0", ServerConfig::default())
+        .expect("bind many-clients server")
+        .start();
+    let addr = handle.local_addr();
+    let session = "many-clients";
+    let mut writer = Client::connect(addr).expect("connect writer");
+    writer
+        .create(CreateSessionRequest {
+            session: session.into(),
+            vertices: Some(u64::from(VERTICES)),
+            ..CreateSessionRequest::default()
+        })
+        .expect("create many-clients session");
+    // A ring plus random chords: 2 000 vertices, ~6 000 positive edges.
+    let mut rng = Rng(0xc0a1);
+    let mut updates: Vec<(VertexId, VertexId, f64)> = (0..VERTICES)
+        .map(|v| (v, (v + 1) % VERTICES, rng.weight()))
+        .collect();
+    while updates.len() < 6_000 {
+        let u = rng.below(VERTICES as usize) as VertexId;
+        let v = rng.below(VERTICES as usize) as VertexId;
+        if u != v {
+            updates.push((u, v, rng.weight()));
+        }
+    }
+    for chunk in updates.chunks(1_000) {
+        writer
+            .session(session)
+            .observe(chunk)
+            .expect("seed observe");
+    }
+
+    // Two barriers per round: `start` releases the clients once the writer
+    // has bumped the version, `end` holds the writer until every client has
+    // its answer.
+    let start = std::sync::Arc::new(std::sync::Barrier::new(CLIENTS + 1));
+    let end = std::sync::Arc::new(std::sync::Barrier::new(CLIENTS + 1));
+    let clients: Vec<std::thread::JoinHandle<Vec<f64>>> = (0..CLIENTS)
+        .map(|_| {
+            let start = std::sync::Arc::clone(&start);
+            let end = std::sync::Arc::clone(&end);
+            std::thread::spawn(move || {
+                let mut client = Client::connect(addr).expect("connect client");
+                let mut mine_ms = Vec::with_capacity(rounds);
+                for _ in 0..rounds {
+                    start.wait();
+                    let begun = Instant::now();
+                    let reply = client.session(session).mine().expect("mine");
+                    mine_ms.push(begun.elapsed().as_secs_f64() * 1e3);
+                    assert!(
+                        reply["result"].as_object().is_some(),
+                        "mine reply without a result"
+                    );
+                    end.wait();
+                }
+                mine_ms
+            })
+        })
+        .collect();
+    for round in 0..rounds {
+        let u = (round % VERTICES as usize) as VertexId;
+        writer
+            .session(session)
+            .observe(&[(u, (u + 1) % VERTICES, 0.5)])
+            .expect("round observe");
+        start.wait();
+        end.wait();
+    }
+    let mut mine_ms: Vec<f64> = clients
+        .into_iter()
+        .flat_map(|t| t.join().expect("client thread"))
+        .collect();
+    mine_ms.sort_by(f64::total_cmp);
+    let stats = writer
+        .request(json!({ "cmd": "stats" }))
+        .expect("server-wide stats");
+    handle.shutdown();
+    handle.join();
+    json!({
+        "clients": CLIENTS,
+        "rounds": rounds,
+        "mines": mine_ms.len(),
+        "coalesced": stats["batching"]["coalesced"],
+        "cached": stats["jobs"]["cached"],
+        "queue_wait_us_p50": stats["queue"]["wait_us"]["p50_us"],
+        "queue_wait_us_p99": stats["queue"]["wait_us"]["p99_us"],
+        "mine_ms_p50": percentile(&mine_ms, 0.50),
+        "mine_ms_p99": percentile(&mine_ms, 0.99),
+    })
 }
 
 /// Durable-vs-ephemeral observe throughput: one server with a data
@@ -521,6 +640,10 @@ fn main() {
     // in-process server at increasing connection counts (informational).
     let scaling = server_scaling(smoke);
 
+    // --- Many clients on one session: same-version mines pile up in the job
+    // queue and must be answered by one solve.
+    let many_clients_report = many_clients(smoke);
+
     // --- Durability tax: observe throughput with a per-session WAL (default
     // group commit) vs an ephemeral session on the same server.
     let durability_report = durability(smoke);
@@ -562,6 +685,7 @@ fn main() {
             "events_dropped": trace_dropped,
         },
         "server_scaling": scaling,
+        "many_clients": many_clients_report,
         "durability": durability_report,
     });
     println!("{}", serde_json::to_string_pretty(&report).unwrap());
@@ -591,6 +715,12 @@ fn main() {
              (disabled {trace_off_median:.3} ms, enabled {trace_on_median:.3} ms)",
             trace_overhead * 100.0
         );
+        std::process::exit(1);
+    }
+    // ... and same-version mines from many clients must share solves: the
+    // pool coalesces queued jobs of one session and cache key.
+    if smoke && many_clients_report["coalesced"].as_u64().unwrap_or(0) == 0 {
+        eprintln!("warning: 16 concurrent same-version mines were never coalesced");
         std::process::exit(1);
     }
     // ... and durable observes must stay within 2× of ephemeral at the
