@@ -1,11 +1,12 @@
 //! The exhaustive SEACD+Refine initialisation sweep, fanned out over worker threads.
 //!
 //! The initialisations are independent local searches, so they parallelise naturally:
-//! each scoped worker claims the next candidate vertex from a shared atomic index and
-//! runs SEACD + refinement from it in its own workspace, keeping its own incumbent and
-//! its own collected solutions.  Nothing is shared but the index; after the join the
-//! per-worker incumbents are merged in ascending seed order, so [`parallel_sweep`] is
-//! bit-identical to [`SeaCd::sweep`] at every thread count and under any scheduling.
+//! each scoped worker runs SEACD + refinement from its own first candidate vertex, then
+//! from each next candidate it claims from a shared atomic index, in its own workspace,
+//! keeping its own incumbent and its own collected solutions.  Nothing is shared but
+//! the index; after the join the per-worker incumbents are merged in ascending seed
+//! order, so [`parallel_sweep`] is bit-identical to [`SeaCd::sweep`] at every thread
+//! count and under any scheduling.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -28,14 +29,6 @@ struct WorkerResult {
     solutions: Vec<(usize, Embedding)>,
 }
 
-/// Clamps a requested thread count to something sensible (`1..=available_parallelism`).
-fn effective_threads(requested: usize) -> usize {
-    let available = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    requested.clamp(1, available.max(1))
-}
-
 /// Runs the exhaustive SEACD+Refine sweep (one initialisation per non-isolated vertex of
 /// `gd_plus`) across `threads` worker threads.
 ///
@@ -49,17 +42,19 @@ pub fn parallel_sweep(
     threads: usize,
     collect_all: bool,
 ) -> SeaCdSweep {
-    let n = gd_plus.num_vertices();
-    let threads = effective_threads(threads);
-    if n == 0 || threads == 1 {
-        return SeaCd::new(config).sweep(gd_plus, None, collect_all, |g, x| refine(g, x, &config));
-    }
-
-    let candidates: Vec<VertexId> = (0..n as VertexId)
+    let candidates: Vec<VertexId> = (0..gd_plus.num_vertices() as VertexId)
         .filter(|&u| gd_plus.degree(u) > 0)
         .collect();
-    let next = AtomicUsize::new(0);
-    let worker = || {
+    // The requested count is honoured even above the core count (the result is
+    // identical at any count); more workers than candidates would only idle.
+    let threads = threads.clamp(1, candidates.len().max(1));
+    if threads == 1 {
+        return SeaCd::new(config).sweep(gd_plus, None, collect_all, |g, x| refine(g, x, &config));
+    }
+    // Worker `w` starts at candidate `w` and then claims from the shared index,
+    // so every worker takes part even when one core runs them one after another.
+    let next = AtomicUsize::new(threads);
+    let worker = |first: usize| {
         let solver = SeaCd::new(config);
         let mut ws = SolverWorkspace::new();
         let view = GraphView::full(gd_plus);
@@ -68,11 +63,8 @@ pub fn parallel_sweep(
             expansion_errors: 0,
             solutions: Vec::new(),
         };
-        loop {
-            let index = next.fetch_add(1, Ordering::Relaxed);
-            let Some(&u) = candidates.get(index) else {
-                break;
-            };
+        let mut index = first;
+        while let Some(&u) = candidates.get(index) {
             let run = solver.run_on_view_in(view, Embedding::singleton(u), &mut ws, |_| false);
             out.expansion_errors += run.expansion_errors;
             let refined = refine_with_workspace(gd_plus, run.embedding, &config, &mut ws);
@@ -84,11 +76,15 @@ pub fn parallel_sweep(
             if collect_all {
                 out.solutions.push((index, refined));
             }
+            index = next.fetch_add(1, Ordering::Relaxed);
         }
         out
     };
     let results: Vec<WorkerResult> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..threads).map(|_| scope.spawn(worker)).collect();
+        let worker = &worker;
+        let handles: Vec<_> = (0..threads)
+            .map(|first| scope.spawn(move || worker(first)))
+            .collect();
         handles
             .into_iter()
             .map(|h| h.join().expect("sweep worker panicked"))

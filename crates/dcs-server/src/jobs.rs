@@ -1,32 +1,30 @@
-//! Mining jobs and the work-stealing worker pool that executes them.
+//! Mining jobs and the worker pool that executes them.
 //!
 //! Mining is CPU-bound, so I/O threads never solve anything themselves: they
 //! submit a [`JobSpec`] with a completion callback
 //! ([`WorkerPool::submit_with`]): the callback renders the response on the
 //! worker thread and posts it back to the owning event loop, so no I/O thread
 //! ever blocks on a job.  The pool has a fixed number of workers and a
-//! **bounded** admission count — when too many jobs are pending, submission
-//! fails immediately with [`ServerError::Busy`] and the caller decides how to
-//! shed the load.
+//! **bounded** queue — when it is full, submission fails immediately with
+//! [`ServerError::Busy`] and the caller decides how to shed the load.
 //!
-//! Scheduling is **work-stealing with snapshot batching**: mining jobs park in
-//! a per-session pending list, and the worker that claims a session drains its
-//! whole list in *one* session-lock pass — every claimed job sees the same
-//! graph version and shares the same `Arc<SignedGraph>` snapshot handles.
-//! Jobs with the same cache key are **coalesced** into one group solved once
-//! (followers are answered with the leader's result, marked
-//! `"coalesced": true`); distinct groups beyond the first are pushed onto the
-//! claiming worker's deque, where idle workers steal them.  Batch sizes,
-//! steal counts and coalesced-job counts are exported through the pool's
-//! accessors into the server's `stats` payload.
+//! Scheduling is **one FIFO with coalescing**: every submission joins the
+//! back of a single locked queue, and an idle worker takes the front job.  A
+//! worker that takes a mining job locks its session once: a cache hit is
+//! answered at once; on a miss the worker also takes every queued job with
+//! the same session and cache key out of the queue, snapshots the session's
+//! graph once (shared `Arc<SignedGraph>` handles) and solves once — the
+//! followers are answered with the leader's result, marked
+//! `"coalesced": true`.  Jobs of other sessions or keys keep their place in
+//! the queue for the next idle worker.  Batch sizes and coalesced-job counts
+//! are exported through the pool's accessors into the server's `stats`
+//! payload.
 
-use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, PoisonError};
+use std::collections::{HashMap, VecDeque};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
-
-use crossbeam::deque::{Injector, Steal, Stealer, Worker as WorkerDeque};
+use std::time::Instant;
 
 use dcs_core::dcsga::DcsgaConfig;
 use dcs_core::{
@@ -107,57 +105,6 @@ impl JobSpec {
                 format!("sweep|{grid}|{}", resolved(measure))
             }
         }
-    }
-
-    /// Executes the job against a session under a [`SolveContext`].
-    ///
-    /// The session lock is held only while snapshotting inputs and while
-    /// storing the result — never while solving — so observers keep streaming
-    /// into the session during long mines.  Snapshots are `Arc` handles to the
-    /// session's incrementally maintained difference graph: an unchanged
-    /// session hands out the same graph pointer to every worker, and even a
-    /// changed one only rebuilds the adjacency rows its updates dirtied.
-    ///
-    /// The context's deadline / budget / cancellation token bound the solve:
-    /// a tripped bound returns the best-so-far result with a non-`converged`
-    /// `termination` field instead of blocking a worker indefinitely.  Only
-    /// **converged** results enter the session cache — a truncated result is
-    /// never served to another client.
-    pub fn execute(
-        &self,
-        session: &SharedSession,
-        cx: &SolveContext,
-    ) -> Result<Value, ServerError> {
-        // Snapshot under the lock.
-        let (key, version, body, converged) = {
-            let mut guard = session.lock().unwrap_or_else(PoisonError::into_inner);
-            let default_measure = guard.monitor().config().measure;
-            let key = self.cache_key(default_measure);
-            let version = guard.version();
-            if let Some(mut hit) = guard.cache_mut().lookup(&key, version) {
-                hit["cached"] = json!(true);
-                return Ok(hit);
-            }
-            let snapshot = self.snapshot(&mut guard);
-            drop(guard);
-
-            // Solve without holding the session lock.
-            let (body, termination) = self.solve(snapshot, version, cx)?;
-            (key, version, body, termination.is_converged())
-        };
-
-        // Store for future identical queries at this version — converged
-        // results only (a deadline/cancel/budget-truncated result is partial).
-        if converged {
-            let mut guard = session.lock().unwrap_or_else(PoisonError::into_inner);
-            if guard.version() == version {
-                guard.cache_mut().store(key, version, body.clone());
-            }
-        }
-
-        let mut response = body;
-        response["cached"] = json!(false);
-        Ok(response)
     }
 
     fn snapshot(&self, session: &mut crate::session::Session) -> Snapshot {
@@ -312,7 +259,7 @@ pub type Task = Box<dyn FnOnce(&SharedWorkspace) -> Result<Value, ServerError> +
 /// response and posts it back to the owning event loop.
 pub type Completion = Box<dyn FnOnce(Result<Value, ServerError>) + Send + 'static>;
 
-/// A mining job waiting in its session's pending list.
+/// A mining job waiting in the queue.
 struct MiningJob {
     session: SharedSession,
     spec: JobSpec,
@@ -324,107 +271,93 @@ struct MiningJob {
     enqueued: Instant,
 }
 
-/// An opaque task (cadence observes) — unbatchable, runs as-is.
+/// An opaque task (cadence observes) — never coalesced, runs as-is.
 struct OpaqueJob {
     task: Task,
     reply: Completion,
     enqueued: Instant,
 }
 
-/// A coalesced group snapshotted under the session lock and ready to solve.
-/// Groups beyond the first of a claim are pushed onto the claiming worker's
-/// deque, where idle workers steal them — the snapshot travels with the
-/// ticket, so the thief never touches the session lock before solving.
-struct ReadyGroup {
-    session: SharedSession,
-    spec: JobSpec,
-    key: String,
-    version: u64,
-    snapshot: Snapshot,
-    /// The leader's context: the whole group solves under its bounds.
-    cx: SolveContext,
-    /// Reply slots in arrival order; the first is the leader, the rest are
-    /// answered with the leader's result marked `"coalesced": true`.
-    members: Vec<Completion>,
+/// One entry of the pool's queue.
+enum Job {
+    Mining(MiningJob),
+    Opaque(OpaqueJob),
 }
 
-/// A unit of scheduling in the pool's deques.
-enum Ticket {
-    /// "Session `key` has pending mining jobs" — the claiming worker drains
-    /// them all in one lock pass.  Later tickets for an already-drained
-    /// session are no-ops.
-    Session(usize),
-    /// A snapshotted group ready to solve (stealable).
-    Group(Box<ReadyGroup>),
-    /// An opaque task.
-    Opaque(OpaqueJob),
+/// The queue and the shutdown flag, guarded by one lock.
+struct State {
+    /// Accepted, unclaimed jobs in arrival order; its length is the
+    /// admission count.
+    jobs: VecDeque<Job>,
+    shutdown: bool,
 }
 
 /// State shared between the pool handle and its workers.
 struct PoolShared {
-    /// Global FIFO all submissions enter; workers take from it when their own
-    /// deque is empty, and steal from each other when it is empty too.
-    injector: Injector<Ticket>,
-    stealers: Vec<Stealer<Ticket>>,
-    /// Pending mining jobs per session (keyed by `Arc` pointer identity),
-    /// sharded so submissions from many I/O threads do not serialize on one
-    /// map lock.  `pending_depths[i]` mirrors shard `i`'s queued job count
-    /// for the `stats` surface.
-    pending_mining: Vec<Mutex<HashMap<usize, Vec<MiningJob>>>>,
-    pending_depths: Vec<AtomicUsize>,
-    /// Jobs accepted but not yet claimed by a worker — the admission counter.
-    pending: AtomicUsize,
-    /// Parking lot: a generation counter bumped on every submission, so idle
-    /// workers sleep instead of spinning and wake promptly on new work.
-    park: (Mutex<u64>, Condvar),
-    shutdown: AtomicBool,
+    state: Mutex<State>,
+    /// Signalled once per submission and on shutdown.
+    ready: Condvar,
     executed: AtomicU64,
-    steals: AtomicU64,
     coalesced: AtomicU64,
-    queued: Gauge,
     inflight: Gauge,
     queue_wait_us: Histogram,
-    /// Jobs per executed solve group (1 = no coalescing happened).
+    /// Jobs per executed solve (1 = no coalescing happened).
     batch_size: Histogram,
 }
 
 impl PoolShared {
-    /// The pending-map shard of a session key.  Fibonacci multiplicative hash
-    /// over the `Arc` address: the low bits are allocator-aligned zeros, so
-    /// take the high bits of the product.
-    fn mining_shard(&self, key: usize) -> usize {
-        let hash = (key as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 48;
-        (hash % self.pending_mining.len() as u64) as usize
+    fn lock_state(&self) -> MutexGuard<'_, State> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    fn generation(&self) -> u64 {
-        *self.park.0.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-
-    fn wake(&self) {
-        let mut generation = self.park.0.lock().unwrap_or_else(PoisonError::into_inner);
-        *generation = generation.wrapping_add(1);
-        self.park.1.notify_all();
-    }
-
-    /// Sleeps until the generation moves past `seen` (or a short timeout, as
-    /// a lost-wakeup backstop).
-    fn park(&self, seen: u64) {
-        let guard = self.park.0.lock().unwrap_or_else(PoisonError::into_inner);
-        if *guard != seen {
-            return;
+    /// Blocks until a job is queued and takes the front one; `None` once the
+    /// pool is shut down and the queue is drained.
+    fn next_job(&self) -> Option<Job> {
+        let mut state = self.lock_state();
+        loop {
+            if let Some(job) = state.jobs.pop_front() {
+                return Some(job);
+            }
+            if state.shutdown {
+                return None;
+            }
+            state = self
+                .ready
+                .wait(state)
+                .unwrap_or_else(PoisonError::into_inner);
         }
-        let _ = self
-            .park
-            .1
-            .wait_timeout(guard, Duration::from_millis(50))
-            .unwrap_or_else(PoisonError::into_inner);
     }
 
-    /// Counts one job as dequeued and records its queue wait.
+    /// Takes every queued mining job of `session` whose cache key is `key`
+    /// out of the queue, in arrival order.  The caller holds the session
+    /// lock: the lock order is session → queue, and nothing takes them the
+    /// other way round.
+    fn take_followers(
+        &self,
+        session: &SharedSession,
+        key: &str,
+        default_measure: DensityMeasure,
+    ) -> Vec<MiningJob> {
+        let mut state = self.lock_state();
+        let mut followers = Vec::new();
+        let mut index = 0;
+        while index < state.jobs.len() {
+            let follows = matches!(
+                &state.jobs[index],
+                Job::Mining(job) if Arc::ptr_eq(&job.session, session)
+                    && job.spec.cache_key(default_measure) == key
+            );
+            if !follows {
+                index += 1;
+            } else if let Some(Job::Mining(job)) = state.jobs.remove(index) {
+                followers.push(job);
+            }
+        }
+        followers
+    }
+
+    /// Counts one job as claimed and records its queue wait.
     fn note_claimed(&self, enqueued: Instant) {
-        self.pending.fetch_sub(1, Ordering::Relaxed);
-        self.queued.dec();
         self.inflight.inc();
         let wait = enqueued.elapsed();
         self.queue_wait_us.record_duration(wait);
@@ -439,8 +372,8 @@ impl PoolShared {
     }
 }
 
-/// A fixed set of work-stealing worker threads behind a bounded admission
-/// count, with same-session mining jobs batched onto shared snapshots.
+/// A fixed set of worker threads taking jobs from one bounded FIFO, with
+/// queued same-session, same-key mining jobs coalesced into one solve.
 pub struct WorkerPool {
     shared: Arc<PoolShared>,
     workers: Vec<JoinHandle<()>>,
@@ -450,35 +383,26 @@ pub struct WorkerPool {
 }
 
 impl WorkerPool {
-    /// Spawns `threads` workers admitting up to `capacity` pending jobs.
+    /// Spawns `threads` workers admitting up to `capacity` queued jobs.
     pub fn new(threads: usize, capacity: usize) -> Self {
         let threads = threads.max(1);
         let capacity = capacity.max(1);
-        let deques: Vec<WorkerDeque<Ticket>> =
-            (0..threads).map(|_| WorkerDeque::new_fifo()).collect();
-        let stealers: Vec<Stealer<Ticket>> = deques.iter().map(WorkerDeque::stealer).collect();
         let shared = Arc::new(PoolShared {
-            injector: Injector::new(),
-            stealers,
-            pending_mining: (0..threads).map(|_| Mutex::new(HashMap::new())).collect(),
-            pending_depths: (0..threads).map(|_| AtomicUsize::new(0)).collect(),
-            pending: AtomicUsize::new(0),
-            park: (Mutex::new(0), Condvar::new()),
-            shutdown: AtomicBool::new(false),
+            state: Mutex::new(State {
+                jobs: VecDeque::with_capacity(capacity),
+                shutdown: false,
+            }),
+            ready: Condvar::new(),
             executed: AtomicU64::new(0),
-            steals: AtomicU64::new(0),
             coalesced: AtomicU64::new(0),
-            queued: Gauge::new(),
             inflight: Gauge::new(),
             queue_wait_us: Histogram::new(),
             batch_size: Histogram::new(),
         });
-        let workers = deques
-            .into_iter()
-            .enumerate()
-            .map(|(index, deque)| {
+        let workers = (0..threads)
+            .map(|_| {
                 let shared = Arc::clone(&shared);
-                std::thread::spawn(move || worker_loop(&shared, &deque, index))
+                std::thread::spawn(move || worker_loop(&shared))
             })
             .collect();
         WorkerPool {
@@ -491,47 +415,35 @@ impl WorkerPool {
     }
 
     /// Bounded admission: rejects with [`ServerError::Busy`] when `capacity`
-    /// jobs are already pending (accepted but unclaimed) or the pool is
-    /// shutting down.
-    fn admit(&self) -> Result<(), ServerError> {
-        if self.shared.shutdown.load(Ordering::SeqCst) {
+    /// jobs are already queued or the pool is shutting down.
+    fn push(&self, job: Job) -> Result<(), ServerError> {
+        let mut state = self.shared.lock_state();
+        if state.shutdown || state.jobs.len() >= self.capacity {
+            drop(state);
             self.rejected.fetch_add(1, Ordering::Relaxed);
             return Err(ServerError::Busy);
         }
-        let mut current = self.shared.pending.load(Ordering::Relaxed);
-        loop {
-            if current >= self.capacity {
-                self.rejected.fetch_add(1, Ordering::Relaxed);
-                return Err(ServerError::Busy);
-            }
-            match self.shared.pending.compare_exchange_weak(
-                current,
-                current + 1,
-                Ordering::Relaxed,
-                Ordering::Relaxed,
-            ) {
-                Ok(_) => break,
-                Err(actual) => current = actual,
-            }
-        }
-        self.shared.queued.inc();
+        state.jobs.push_back(job);
+        drop(state);
+        self.shared.ready.notify_one();
         Ok(())
     }
 
     /// Submits a mining job bounded by `cx`; fails with [`ServerError::Busy`]
-    /// when too many jobs are pending.  On success, `done` runs exactly once
-    /// with the job's outcome **on the worker thread** that finishes it.  The
+    /// when the queue is full.  On success, `done` runs exactly once with the
+    /// job's outcome **on the worker thread** that finishes it.  The
     /// context's deadline is absolute, so time spent waiting in the queue
     /// counts against the job's deadline — an overloaded server answers
     /// "deadline, best-so-far" rather than holding the client for queue time
     /// plus solve time.
     ///
-    /// Jobs against the same session are **batched**: the worker that claims
-    /// them drains every pending job for that session in one session-lock
-    /// pass, so all of them share one graph version and one set of
-    /// `Arc<SignedGraph>` snapshots.  Jobs with the same cache key are solved
-    /// once; the followers receive the leader's result with
-    /// `"coalesced": true`.
+    /// The session lock is held only while checking the cache and
+    /// snapshotting the inputs, and again while storing a result — never
+    /// while solving — so observers keep streaming into the session during
+    /// long mines.  Only **converged** results enter the session cache: a
+    /// deadline-, budget- or cancel-truncated result is never served to
+    /// another client.  Queued jobs with the job's session and cache key are
+    /// answered by the same solve, marked `"coalesced": true`.
     pub fn submit_with(
         &self,
         session: SharedSession,
@@ -539,44 +451,26 @@ impl WorkerPool {
         cx: SolveContext,
         done: Completion,
     ) -> Result<(), ServerError> {
-        self.admit()?;
-        let key = Arc::as_ptr(&session) as usize;
-        let job = MiningJob {
+        self.push(Job::Mining(MiningJob {
             session,
             spec,
             cx,
             reply: done,
             enqueued: Instant::now(),
-        };
-        let shard = self.shared.mining_shard(key);
-        self.shared.pending_mining[shard]
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .entry(key)
-            .or_default()
-            .push(job);
-        self.shared.pending_depths[shard].fetch_add(1, Ordering::Relaxed);
-        // The ticket is pushed after the job is visible in the map, so every
-        // ticket's job is claimable by the time the ticket is.
-        self.shared.injector.push(Ticket::Session(key));
-        self.shared.wake();
-        Ok(())
+        }))
     }
 
     /// Submits an arbitrary task (used for observes on cadence-mining
     /// sessions, which can trigger a solve and therefore must not run on
     /// I/O threads), with `done` run on the worker thread that finishes it.
     /// Same bounded-admission semantics as [`Self::submit_with`]; opaque tasks
-    /// are never batched.
+    /// are never coalesced.
     pub fn submit_task_with(&self, task: Task, done: Completion) -> Result<(), ServerError> {
-        self.admit()?;
-        self.shared.injector.push(Ticket::Opaque(OpaqueJob {
+        self.push(Job::Opaque(OpaqueJob {
             task,
             reply: done,
             enqueued: Instant::now(),
-        }));
-        self.shared.wake();
-        Ok(())
+        }))
     }
 
     /// Number of worker threads.
@@ -584,7 +478,7 @@ impl WorkerPool {
         self.threads
     }
 
-    /// Pending-job capacity.
+    /// Queued-job capacity.
     pub fn capacity(&self) -> usize {
         self.capacity
     }
@@ -594,41 +488,30 @@ impl WorkerPool {
         self.shared.executed.load(Ordering::Relaxed)
     }
 
-    /// Jobs rejected because too many were pending.
+    /// Jobs rejected because the queue was full or the pool shut down.
     pub fn rejected(&self) -> u64 {
         self.rejected.load(Ordering::Relaxed)
     }
 
-    /// Jobs accepted but not yet claimed by a worker.  Racy by nature (a
-    /// point-in-time gauge); may transiently over-report by one per worker.
-    pub fn queue_depth(&self) -> i64 {
-        self.shared.queued.get().max(0)
+    /// Jobs accepted but not yet claimed by a worker.
+    pub fn queue_depth(&self) -> usize {
+        self.shared.lock_state().jobs.len()
     }
 
-    /// Jobs claimed by workers and not yet answered (members of a group that
-    /// is queued for stealing count as in flight).
+    /// Jobs claimed by workers and not yet answered.
     pub fn inflight(&self) -> i64 {
         self.shared.inflight.get().max(0)
     }
 
     /// Snapshot of the queue-wait distribution (microseconds).
     pub fn queue_wait_snapshot(&self) -> HistogramSnapshot {
-        self.queue_wait_us_snapshot()
-    }
-
-    fn queue_wait_us_snapshot(&self) -> HistogramSnapshot {
         self.shared.queue_wait_us.snapshot()
     }
 
     /// Snapshot of the batch-size distribution: jobs answered per executed
-    /// solve group (1 = no coalescing).
+    /// solve (1 = no coalescing).
     pub fn batch_size_snapshot(&self) -> HistogramSnapshot {
         self.shared.batch_size.snapshot()
-    }
-
-    /// Tickets a worker obtained by stealing from another worker's deque.
-    pub fn steals(&self) -> u64 {
-        self.shared.steals.load(Ordering::Relaxed)
     }
 
     /// Jobs answered from another job's solve (batch followers).
@@ -636,21 +519,10 @@ impl WorkerPool {
         self.shared.coalesced.load(Ordering::Relaxed)
     }
 
-    /// Point-in-time pending mining jobs per internal session shard (the
-    /// shard count equals the worker thread count).  Exposed through the
-    /// server-wide `stats` surface as `queue.shard_depths`.
-    pub fn shard_depths(&self) -> Vec<usize> {
-        self.shared
-            .pending_depths
-            .iter()
-            .map(|depth| depth.load(Ordering::Relaxed))
-            .collect()
-    }
-
     /// Stops admissions, drains the remaining work and joins every worker.
     pub fn shutdown(&mut self) {
-        self.shared.shutdown.store(true, Ordering::SeqCst);
-        self.shared.wake();
+        self.shared.lock_state().shutdown = true;
+        self.shared.ready.notify_all();
         for worker in self.workers.drain(..) {
             let _ = worker.join();
         }
@@ -663,153 +535,60 @@ impl Drop for WorkerPool {
     }
 }
 
-/// One worker thread: drain the local deque, then the injector, then steal;
-/// park when everything is empty.  On shutdown the loop exits only once no
-/// work is findable, so accepted jobs are drained, not dropped.
-fn worker_loop(shared: &Arc<PoolShared>, deque: &WorkerDeque<Ticket>, index: usize) {
+/// One worker thread: take the front job until the pool is shut down and the
+/// queue is empty, so accepted jobs are drained, not dropped.
+fn worker_loop(shared: &PoolShared) {
     // One solver workspace per worker, alive across jobs: the steady-state
     // serving path re-mines into the same scratch buffers instead of
     // allocating them per job.
     let workspace = SharedWorkspace::new();
-    loop {
-        // Read the generation *before* scanning, so a submission racing the
-        // scan bumps it and the park below returns immediately.
-        let generation = shared.generation();
-        match find_ticket(shared, deque, index) {
-            Some(ticket) => process_ticket(shared, deque, ticket, &workspace),
-            None => {
-                if shared.shutdown.load(Ordering::SeqCst) {
-                    break;
-                }
-                shared.park(generation);
+    while let Some(job) = shared.next_job() {
+        match job {
+            Job::Mining(job) => serve_mining(shared, job, &workspace),
+            Job::Opaque(job) => {
+                shared.note_claimed(job.enqueued);
+                let outcome = (job.task)(&workspace);
+                shared.finish(job.reply, outcome);
             }
         }
     }
 }
 
-/// Local deque first (FIFO), then the shared injector, then stealing from the
-/// other workers' deques (counted into the steal telemetry).
-fn find_ticket(shared: &PoolShared, deque: &WorkerDeque<Ticket>, index: usize) -> Option<Ticket> {
-    if let Some(ticket) = deque.pop() {
-        return Some(ticket);
-    }
-    if let Steal::Success(ticket) = shared.injector.steal() {
-        return Some(ticket);
-    }
-    for (other, stealer) in shared.stealers.iter().enumerate() {
-        if other == index {
-            continue;
-        }
-        if let Steal::Success(ticket) = stealer.steal() {
-            shared.steals.fetch_add(1, Ordering::Relaxed);
-            return Some(ticket);
-        }
-    }
-    None
-}
-
-fn process_ticket(
-    shared: &Arc<PoolShared>,
-    deque: &WorkerDeque<Ticket>,
-    ticket: Ticket,
-    workspace: &SharedWorkspace,
-) {
-    match ticket {
-        Ticket::Session(key) => claim_session(shared, deque, key, workspace),
-        Ticket::Group(group) => solve_group(shared, *group, workspace),
-        Ticket::Opaque(job) => {
-            shared.note_claimed(job.enqueued);
-            let outcome = (job.task)(workspace);
-            shared.finish(job.reply, outcome);
-        }
-    }
-}
-
-/// Drains every pending mining job of `key`'s session and serves the batch:
-/// one session-lock pass answers cache hits and snapshots one [`ReadyGroup`]
-/// per distinct cache key (all sharing the lock pass's graph version and
-/// `Arc` snapshot handles).  The first group is solved on this worker; the
-/// rest go onto its deque for other workers to steal.
-fn claim_session(
-    shared: &Arc<PoolShared>,
-    deque: &WorkerDeque<Ticket>,
-    key: usize,
-    workspace: &SharedWorkspace,
-) {
-    let shard = shared.mining_shard(key);
-    let jobs = shared.pending_mining[shard]
-        .lock()
-        .unwrap_or_else(PoisonError::into_inner)
-        .remove(&key);
-    let Some(jobs) = jobs else {
-        return; // an earlier ticket already drained this session
-    };
-    if jobs.is_empty() {
-        return;
-    }
-    shared.pending_depths[shard].fetch_sub(jobs.len(), Ordering::Relaxed);
-    for job in &jobs {
-        shared.note_claimed(job.enqueued);
-    }
-
-    let session = Arc::clone(&jobs[0].session);
-    let mut groups: Vec<Box<ReadyGroup>> = Vec::new();
-    {
-        let mut guard = session.lock().unwrap_or_else(PoisonError::into_inner);
-        let default_measure = guard.monitor().config().measure;
-        let version = guard.version();
-        for job in jobs {
-            let cache_key = job.spec.cache_key(default_measure);
-            if let Some(mut hit) = guard.cache_mut().lookup(&cache_key, version) {
-                hit["cached"] = json!(true);
-                shared.finish(job.reply, Ok(hit));
-                continue;
-            }
-            if let Some(group) = groups.iter_mut().find(|g| g.key == cache_key) {
-                group.members.push(job.reply);
-            } else {
-                let snapshot = job.spec.snapshot(&mut guard);
-                groups.push(Box::new(ReadyGroup {
-                    session: Arc::clone(&session),
-                    spec: job.spec,
-                    key: cache_key,
-                    version,
-                    snapshot,
-                    cx: job.cx,
-                    members: vec![job.reply],
-                }));
-            }
-        }
-    }
-
-    let mut groups = groups.into_iter();
-    let first = groups.next();
-    let mut pushed = false;
-    for extra in groups {
-        deque.push(Ticket::Group(extra));
-        pushed = true;
-    }
-    if pushed {
-        shared.wake(); // idle workers can steal the extra groups
-    }
-    if let Some(group) = first {
-        solve_group(shared, *group, workspace);
-    }
-}
-
-/// Solves one coalesced group: one solve under the leader's context, one
-/// cache store (converged results at an unchanged version only), one reply
-/// per member — followers marked `"coalesced": true`.
-fn solve_group(shared: &PoolShared, group: ReadyGroup, workspace: &SharedWorkspace) {
-    let ReadyGroup {
+/// Serves one mining job and every queued job it can answer.  One
+/// session-lock pass checks the cache, takes the queued followers (same
+/// session, same cache key) and snapshots the inputs; then one solve under
+/// the leader's context, one cache store (converged results at an unchanged
+/// version only), and one reply per member — followers marked
+/// `"coalesced": true`.  Every reply is sent with no lock held.
+fn serve_mining(shared: &PoolShared, leader: MiningJob, workspace: &SharedWorkspace) {
+    shared.note_claimed(leader.enqueued);
+    let MiningJob {
         session,
         spec,
-        key,
-        version,
-        snapshot,
         cx,
-        members,
-    } = group;
+        reply,
+        ..
+    } = leader;
+    let mut guard = session.lock().unwrap_or_else(PoisonError::into_inner);
+    let default_measure = guard.monitor().config().measure;
+    let key = spec.cache_key(default_measure);
+    let version = guard.version();
+    if let Some(mut hit) = guard.cache_mut().lookup(&key, version) {
+        drop(guard);
+        hit["cached"] = json!(true);
+        shared.finish(reply, Ok(hit));
+        return;
+    }
+    let followers = shared.take_followers(&session, &key, default_measure);
+    let snapshot = spec.snapshot(&mut guard);
+    drop(guard);
+
+    let mut members = Vec::with_capacity(1 + followers.len());
+    members.push(reply);
+    for follower in followers {
+        shared.note_claimed(follower.enqueued);
+        members.push(follower.reply);
+    }
     shared.batch_size.record(members.len() as u64);
     match spec.solve(snapshot, version, &cx.with_workspace(workspace)) {
         Ok((body, termination)) => {
@@ -911,6 +690,7 @@ mod tests {
     use crate::session::Session;
     use dcs_core::StreamingConfig;
     use std::sync::mpsc::{sync_channel, Receiver};
+    use std::time::Duration;
 
     /// Submits a mining job whose completion sends the outcome down a fresh
     /// channel, for tests that block on the reply.
@@ -926,6 +706,15 @@ mod tests {
         });
         pool.submit_with(Arc::clone(session), spec, cx, done)?;
         Ok(rx)
+    }
+
+    /// Submits one unbounded job and waits for its reply.
+    fn run(pool: &WorkerPool, session: &SharedSession, spec: JobSpec) -> Value {
+        submit_via_channel(pool, session, spec, SolveContext::unbounded())
+            .unwrap()
+            .recv()
+            .unwrap()
+            .unwrap()
     }
 
     fn shared_session(vertices: usize) -> SharedSession {
@@ -947,24 +736,26 @@ mod tests {
 
     #[test]
     fn mine_job_finds_the_triangle_and_caches() {
+        let pool = WorkerPool::new(1, 4);
         let session = shared_session(6);
         seed_triangle(&session);
         let spec = JobSpec::Mine { measure: None };
-        let first = spec.execute(&session, &SolveContext::unbounded()).unwrap();
+        let first = run(&pool, &session, spec.clone());
         assert_eq!(first["cached"], false);
         assert_eq!(first["result"]["subset"], serde_json::json!([0, 1, 2]));
         assert_eq!(first["result"]["triggered"], true);
-        let second = spec.execute(&session, &SolveContext::unbounded()).unwrap();
+        let second = run(&pool, &session, spec.clone());
         assert_eq!(second["cached"], true);
         assert_eq!(second["result"]["subset"], serde_json::json!([0, 1, 2]));
         // New observations invalidate the cache.
         session.lock().unwrap().observe(&[(3, 4, 1.0)]).unwrap();
-        let third = spec.execute(&session, &SolveContext::unbounded()).unwrap();
+        let third = run(&pool, &session, spec);
         assert_eq!(third["cached"], false);
     }
 
     #[test]
     fn distinct_specs_do_not_share_cache_entries() {
+        let pool = WorkerPool::new(1, 4);
         let session = shared_session(6);
         seed_triangle(&session);
         let mine = JobSpec::Mine { measure: None };
@@ -975,49 +766,47 @@ mod tests {
             mine.cache_key(DensityMeasure::GraphAffinity),
             mine_degree.cache_key(DensityMeasure::GraphAffinity)
         );
-        mine.execute(&session, &SolveContext::unbounded()).unwrap();
-        let degree = mine_degree
-            .execute(&session, &SolveContext::unbounded())
-            .unwrap();
+        run(&pool, &session, mine);
+        let degree = run(&pool, &session, mine_degree);
         assert_eq!(degree["cached"], false);
         // But an explicit measure equal to the default shares the key.
         let explicit = JobSpec::Mine {
             measure: Some(DensityMeasure::GraphAffinity),
         };
-        assert_eq!(
-            explicit
-                .execute(&session, &SolveContext::unbounded())
-                .unwrap()["cached"],
-            true
-        );
+        assert_eq!(run(&pool, &session, explicit)["cached"], true);
     }
 
     #[test]
     fn topk_and_sweep_jobs_produce_ranked_output() {
+        let pool = WorkerPool::new(1, 4);
         let session = shared_session(8);
         session
             .lock()
             .unwrap()
             .observe(&[(0, 1, 6.0), (0, 2, 6.0), (1, 2, 6.0), (4, 5, 3.0)])
             .unwrap();
-        let topk = JobSpec::TopK {
-            k: 3,
-            measure: None,
-        }
-        .execute(&session, &SolveContext::unbounded())
-        .unwrap();
+        let topk = run(
+            &pool,
+            &session,
+            JobSpec::TopK {
+                k: 3,
+                measure: None,
+            },
+        );
         let results = topk["results"].as_array().unwrap();
         assert_eq!(results.len(), 2);
         assert_eq!(results[0]["rank"], 1);
         assert_eq!(results[0]["subset"], serde_json::json!([0, 1, 2]));
         assert_eq!(results[1]["subset"], serde_json::json!([4, 5]));
 
-        let sweep = JobSpec::Sweep {
-            alphas: Some(vec![0.0, 1.0]),
-            measure: None,
-        }
-        .execute(&session, &SolveContext::unbounded())
-        .unwrap();
+        let sweep = run(
+            &pool,
+            &session,
+            JobSpec::Sweep {
+                alphas: Some(vec![0.0, 1.0]),
+                measure: None,
+            },
+        );
         let points = sweep["points"].as_array().unwrap();
         assert_eq!(points.len(), 2);
         assert_eq!(points[0]["alpha"], 0);
@@ -1100,6 +889,61 @@ mod tests {
     }
 
     #[test]
+    fn a_claim_takes_queued_same_key_jobs_and_leaves_the_rest_in_order() {
+        // One worker.  A1 is taken and blocks on session A's lock (held by
+        // the test); B, A2, topk and A3 queue behind it.  When the lock is
+        // released, A1's claim takes A2 and A3 (same session, same cache key)
+        // out of the queue; B and topk keep their FIFO places.  A budget of
+        // 0 units keeps every result out of the cache.
+        let pool = WorkerPool::new(1, 16);
+        let a = shared_session(6);
+        let b = shared_session(6);
+        seed_triangle(&a);
+        seed_triangle(&b);
+        let (tx, rx) = std::sync::mpsc::channel();
+        let submit = |session: &SharedSession, spec: JobSpec, label: &'static str| {
+            let tx = tx.clone();
+            pool.submit_with(
+                Arc::clone(session),
+                spec,
+                SolveContext::unbounded().with_budget(0),
+                Box::new(move |outcome| tx.send((label, outcome.unwrap())).unwrap()),
+            )
+            .unwrap();
+        };
+        let mine = || JobSpec::Mine { measure: None };
+        let guard = a.lock().unwrap();
+        submit(&a, mine(), "A1");
+        while pool.queue_depth() != 0 {
+            std::thread::yield_now();
+        }
+        submit(&b, mine(), "B");
+        submit(&a, mine(), "A2");
+        submit(
+            &a,
+            JobSpec::TopK {
+                k: 2,
+                measure: None,
+            },
+            "topk",
+        );
+        submit(&a, mine(), "A3");
+        drop(guard);
+        let replies: Vec<(&str, Value)> = (0..5)
+            .map(|_| rx.recv_timeout(Duration::from_secs(30)).unwrap())
+            .collect();
+        let order: Vec<&str> = replies.iter().map(|(label, _)| *label).collect();
+        assert_eq!(order, ["A1", "A2", "A3", "B", "topk"]);
+        for (label, value) in &replies {
+            assert_eq!(value["cached"], false, "{label}");
+            let follower = matches!(*label, "A2" | "A3");
+            assert_eq!(value["coalesced"] == true, follower, "{label}");
+        }
+        assert_eq!(pool.batch_size_snapshot().max, 3);
+        assert_eq!(pool.executed(), 5);
+    }
+
+    #[test]
     fn callback_submissions_complete_without_a_channel() {
         let pool = WorkerPool::new(2, 8);
         let session = shared_session(6);
@@ -1133,10 +977,8 @@ mod tests {
             rx.recv_timeout(Duration::from_secs(10)).unwrap()["done"],
             true
         );
-        // The sharded pending maps drained back to empty.
-        let depths = pool.shard_depths();
-        assert_eq!(depths.len(), pool.threads());
-        assert_eq!(depths.iter().sum::<usize>(), 0);
+        // The queue drained back to empty.
+        assert_eq!(pool.queue_depth(), 0);
         assert_eq!(pool.executed(), 4);
     }
 

@@ -160,8 +160,8 @@
 //!
 //! A `stats` request **without** a `session` field returns the server's
 //! observability surface, assembled from lock-free instrumentation
-//! (`dcs-obs`) on the dispatch, worker-pool and job paths plus a brief
-//! walk of the session registry:
+//! (`dcs-obs`) on the dispatch, worker-pool and job paths, the job queue's
+//! length, and a brief walk of the session registry:
 //!
 //! * `uptime_ms`, `sessions`, `requests: {total, errors}`;
 //! * `queue: {depth, inflight, capacity, workers, executed, rejected,
@@ -170,8 +170,9 @@
 //! * `batching: {solves, size_mean, size_p50, size_p95, size_p99, size_max,
 //!   coalesced, steals}` — snapshot-batch telemetry: how many solve groups
 //!   ran, the distribution of jobs answered per group (1 = no coalescing),
-//!   how many jobs were answered as followers of another job's solve, and how
-//!   many work items idle workers stole from busy workers' deques;
+//!   and how many jobs were answered as followers of another job's solve;
+//!   `steals` is always 0 (the pool has no stealing) and is kept for wire
+//!   compatibility;
 //! * `jobs: {completed, cached, inflight_named, wall_us_by_kind,
 //!   wall_us_by_measure}` — client-observed wall time (queue wait + solve)
 //!   of solved jobs, as one latency summary per kind (`mine` / `topk` /
@@ -183,7 +184,8 @@
 //!   every session's result cache;
 //! * `observes: {batches, updates, per_sec}` — observe throughput since the
 //!   server started;
-//! * `queue.shard_depths: [n…]` — pending mining jobs per pool shard;
+//! * `queue.shard_depths: [n]` — a one-element array holding `queue.depth`
+//!   (the pool has one queue), kept for wire compatibility;
 //! * `io: {threads, backend, accepts, read_events, write_events,
 //!   connections_opened, connections_open, shed, requests_too_large}` — the
 //!   serving tier: event-loop backend (`"epoll"` / `"poll"`), accepted
@@ -215,25 +217,27 @@
 //!
 //! The mining commands (`mine`, `topk`, `sweep`) — and `observe` on sessions
 //! with `remine_every > 0`, since completing a period triggers a solve — are
-//! executed by the worker pool; when too many jobs are pending the server
+//! executed by the worker pool; when its queue is full the server
 //! answers `{"ok": false, "error": "overloaded", "retry_after_ms": n}`
 //! immediately rather than queueing unboundedly.  All other commands are
 //! handled inline by the I/O threads.
 //!
 //! ## Snapshot batching and coalescing
 //!
-//! The worker pool is **work-stealing** and **snapshot-batched**: the worker
-//! that claims a session's pending mining jobs drains *all* of them in one
-//! session-lock pass, so every job in the batch sees the same graph version
-//! and shares `Arc` handles to one snapshot of the difference graph.  Within
-//! a batch, jobs with the same cache key (same command, parameters and
-//! measure) are **coalesced** — solved once, with every duplicate answered
-//! from the one solve.  Coalesced followers carry `"coalesced": true` next to
+//! The worker pool is **one locked FIFO** with **snapshot batching**: every
+//! mining job and cadence observe joins the back of one bounded queue, and an
+//! idle worker takes the front job.  A worker that takes a mining job locks
+//! its session once: a cache hit is answered at once; on a miss the worker
+//! also takes every queued job with the same session and the same cache key
+//! (same command, parameters and measure) out of the queue, snapshots the
+//! difference graph once and solves once, answering every member from that
+//! solve.  Coalesced followers carry `"coalesced": true` next to
 //! `"cached": false` in their response; the leader and un-duplicated jobs
-//! carry neither.  Distinct-key groups beyond the first are pushed onto the
-//! claiming worker's deque where idle workers steal them, so a batch of
-//! different commands still fans out across the pool.  Batch sizes, coalesced
-//! counts and steal counts are exported under `batching` in the server-wide
+//! carry neither.  Jobs of other sessions or other keys keep their place in
+//! the queue and go to the next idle worker, so different commands still
+//! fan out across the pool; there is no per-worker deque and no stealing.
+//! Batch sizes and coalesced counts are exported under `batching` in the
+//! server-wide
 //! `stats` payload.  Intra-solve parallelism (how many threads one solve may
 //! use: DCSGreedy's `G_D` and `G_{D+}` peels side by side and the NewSEA µ_u
 //! ordering) is configured separately via [`ServerConfig::solver_threads`].

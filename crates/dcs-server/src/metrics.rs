@@ -178,6 +178,7 @@ impl ServerMetrics {
         );
 
         let batch_sizes = pool.batch_size_snapshot();
+        let depth = pool.queue_depth();
         let observe_batches = self.observe_batches.get();
         let observes_per_sec = if uptime_ms > 0 {
             observe_batches as f64 * 1e3 / uptime_ms as f64
@@ -190,13 +191,15 @@ impl ServerMetrics {
             "sessions": sessions,
             "requests": { "total": self.requests.get(), "errors": self.errors.get() },
             "queue": {
-                "depth": pool.queue_depth(),
+                "depth": depth,
                 "inflight": pool.inflight(),
                 "capacity": pool.capacity(),
                 "workers": pool.threads(),
                 "executed": pool.executed(),
                 "rejected": pool.rejected(),
                 "wait_us": histogram_summary(&pool.queue_wait_snapshot()),
+                // One queue, so one "shard": kept for wire compatibility.
+                "shard_depths": [depth],
             },
             "batching": {
                 "solves": batch_sizes.count,
@@ -206,7 +209,9 @@ impl ServerMetrics {
                 "size_p99": batch_sizes.p99(),
                 "size_max": batch_sizes.max,
                 "coalesced": pool.coalesced(),
-                "steals": pool.steals(),
+                // No stealing since the pool became one FIFO; the field is
+                // kept for wire compatibility until a protocol bump.
+                "steals": 0,
             },
             "jobs": {
                 "completed": self.jobs_completed.get(),

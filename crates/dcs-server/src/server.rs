@@ -1027,7 +1027,7 @@ impl IoLoop {
     fn overloaded(&self) -> ServerError {
         self.shared.io_stats.shed.fetch_add(1, Ordering::Relaxed);
         let capacity = self.shared.pool.capacity().max(1) as u64;
-        let depth = (self.shared.pool.queue_depth().max(0) as u64).min(capacity);
+        let depth = (self.shared.pool.queue_depth() as u64).min(capacity);
         ServerError::Overloaded {
             retry_after_ms: 25 + 175 * depth / capacity,
         }
@@ -1387,7 +1387,6 @@ fn stats(name: Option<&str>, shared: &Shared) -> Result<Value, ServerError> {
         let mut payload = shared
             .metrics
             .render(&shared.pool, &shared.jobs, &shared.registry);
-        payload["queue"]["shard_depths"] = json!(shared.pool.shard_depths());
         let io = &shared.io_stats;
         let opened = io.opened.load(Ordering::Relaxed);
         let closed = io.closed.load(Ordering::Relaxed);
