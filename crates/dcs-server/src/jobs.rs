@@ -10,15 +10,15 @@
 //!
 //! Scheduling is **one FIFO with coalescing**: every submission joins the
 //! back of a single locked queue, and an idle worker takes the front job.  A
-//! worker that takes a mining job locks its session once: a cache hit is
-//! answered at once; on a miss the worker also takes every queued job with
-//! the same session and cache key out of the queue, snapshots the session's
-//! graph once (shared `Arc<SignedGraph>` handles) and solves once — the
-//! followers are answered with the leader's result, marked
-//! `"coalesced": true`.  Jobs of other sessions or keys keep their place in
-//! the queue for the next idle worker.  Batch sizes and coalesced-job counts
-//! are exported through the pool's accessors into the server's `stats`
-//! payload.
+//! worker that takes a mining job locks its session once and also takes
+//! every queued job with the same session and cache key out of the queue.
+//! On a cache hit all of them are answered from the cache; on a miss the
+//! worker snapshots the session's graph once (shared `Arc<SignedGraph>`
+//! handles) and solves once — the followers are answered with the leader's
+//! result, marked `"coalesced": true`.  Jobs of other sessions or keys keep
+//! their place in the queue for the next idle worker.  Batch sizes and
+//! coalesced-job counts are exported through the pool's accessors into the
+//! server's `stats` payload.
 
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -443,7 +443,8 @@ impl WorkerPool {
     /// long mines.  Only **converged** results enter the session cache: a
     /// deadline-, budget- or cancel-truncated result is never served to
     /// another client.  Queued jobs with the job's session and cache key are
-    /// answered by the same solve, marked `"coalesced": true`.
+    /// answered by the same cache hit, or by the same solve and then marked
+    /// `"coalesced": true`.
     pub fn submit_with(
         &self,
         session: SharedSession,
@@ -555,11 +556,13 @@ fn worker_loop(shared: &PoolShared) {
 }
 
 /// Serves one mining job and every queued job it can answer.  One
-/// session-lock pass checks the cache, takes the queued followers (same
-/// session, same cache key) and snapshots the inputs; then one solve under
-/// the leader's context, one cache store (converged results at an unchanged
-/// version only), and one reply per member — followers marked
-/// `"coalesced": true`.  Every reply is sent with no lock held.
+/// session-lock pass checks the cache and takes the queued followers (same
+/// session, same cache key) out of the queue.  On a cache hit every member
+/// is answered from the cached result; on a miss the pass also snapshots the
+/// inputs, then one solve under the leader's context, one cache store
+/// (converged results at an unchanged version only), and one reply per
+/// member — followers marked `"coalesced": true`.  Every reply is sent with
+/// no lock held.
 fn serve_mining(shared: &PoolShared, leader: MiningJob, workspace: &SharedWorkspace) {
     shared.note_claimed(leader.enqueued);
     let MiningJob {
@@ -573,22 +576,25 @@ fn serve_mining(shared: &PoolShared, leader: MiningJob, workspace: &SharedWorksp
     let default_measure = guard.monitor().config().measure;
     let key = spec.cache_key(default_measure);
     let version = guard.version();
-    if let Some(mut hit) = guard.cache_mut().lookup(&key, version) {
-        drop(guard);
-        hit["cached"] = json!(true);
-        shared.finish(reply, Ok(hit));
-        return;
-    }
+    let hit = guard.cache_mut().lookup(&key, version);
     let followers = shared.take_followers(&session, &key, default_measure);
-    let snapshot = spec.snapshot(&mut guard);
-    drop(guard);
-
     let mut members = Vec::with_capacity(1 + followers.len());
     members.push(reply);
     for follower in followers {
         shared.note_claimed(follower.enqueued);
         members.push(follower.reply);
     }
+    if let Some(mut hit) = hit {
+        drop(guard);
+        hit["cached"] = json!(true);
+        for reply in members {
+            shared.finish(reply, Ok(hit.clone()));
+        }
+        return;
+    }
+    let snapshot = spec.snapshot(&mut guard);
+    drop(guard);
+
     shared.batch_size.record(members.len() as u64);
     match spec.solve(snapshot, version, &cx.with_workspace(workspace)) {
         Ok((body, termination)) => {
@@ -888,50 +894,65 @@ mod tests {
         assert_eq!(pool.executed(), 4);
     }
 
-    #[test]
-    fn a_claim_takes_queued_same_key_jobs_and_leaves_the_rest_in_order() {
-        // One worker.  A1 is taken and blocks on session A's lock (held by
-        // the test); B, A2, topk and A3 queue behind it.  When the lock is
-        // released, A1's claim takes A2 and A3 (same session, same cache key)
-        // out of the queue; B and topk keep their FIFO places.  A budget of
-        // 0 units keeps every result out of the cache.
-        let pool = WorkerPool::new(1, 16);
-        let a = shared_session(6);
-        let b = shared_session(6);
-        seed_triangle(&a);
-        seed_triangle(&b);
+    /// Runs `A1` (a mine on session `a`) on a one-worker pool while the test
+    /// holds `a`'s lock, so the worker takes `A1` and blocks; then queues
+    /// `rest` behind it, releases the lock and returns every `(label, reply)`
+    /// in completion order.
+    fn claim_behind_a_blocked_job(
+        pool: &WorkerPool,
+        a: &SharedSession,
+        rest: Vec<(&SharedSession, JobSpec, &'static str)>,
+        cx: SolveContext,
+    ) -> Vec<(&'static str, Value)> {
         let (tx, rx) = std::sync::mpsc::channel();
         let submit = |session: &SharedSession, spec: JobSpec, label: &'static str| {
             let tx = tx.clone();
             pool.submit_with(
                 Arc::clone(session),
                 spec,
-                SolveContext::unbounded().with_budget(0),
+                cx.clone(),
                 Box::new(move |outcome| tx.send((label, outcome.unwrap())).unwrap()),
             )
             .unwrap();
         };
-        let mine = || JobSpec::Mine { measure: None };
         let guard = a.lock().unwrap();
-        submit(&a, mine(), "A1");
+        submit(a, JobSpec::Mine { measure: None }, "A1");
         while pool.queue_depth() != 0 {
             std::thread::yield_now();
         }
-        submit(&b, mine(), "B");
-        submit(&a, mine(), "A2");
-        submit(
-            &a,
-            JobSpec::TopK {
-                k: 2,
-                measure: None,
-            },
-            "topk",
-        );
-        submit(&a, mine(), "A3");
+        let jobs = 1 + rest.len();
+        for (session, spec, label) in rest {
+            submit(session, spec, label);
+        }
         drop(guard);
-        let replies: Vec<(&str, Value)> = (0..5)
+        (0..jobs)
             .map(|_| rx.recv_timeout(Duration::from_secs(30)).unwrap())
-            .collect();
+            .collect()
+    }
+
+    #[test]
+    fn a_claim_takes_queued_same_key_jobs_and_leaves_the_rest_in_order() {
+        // A1's claim takes A2 and A3 (same session, same cache key) out of
+        // the queue; B and topk keep their FIFO places.  A budget of 0 units
+        // keeps every result out of the cache.
+        let pool = WorkerPool::new(1, 16);
+        let a = shared_session(6);
+        let b = shared_session(6);
+        seed_triangle(&a);
+        seed_triangle(&b);
+        let mine = || JobSpec::Mine { measure: None };
+        let topk = JobSpec::TopK {
+            k: 2,
+            measure: None,
+        };
+        let rest = vec![
+            (&b, mine(), "B"),
+            (&a, mine(), "A2"),
+            (&a, topk, "topk"),
+            (&a, mine(), "A3"),
+        ];
+        let cx = SolveContext::unbounded().with_budget(0);
+        let replies = claim_behind_a_blocked_job(&pool, &a, rest, cx);
         let order: Vec<&str> = replies.iter().map(|(label, _)| *label).collect();
         assert_eq!(order, ["A1", "A2", "A3", "B", "topk"]);
         for (label, value) in &replies {
@@ -940,6 +961,34 @@ mod tests {
             assert_eq!(value["coalesced"] == true, follower, "{label}");
         }
         assert_eq!(pool.batch_size_snapshot().max, 3);
+        assert_eq!(pool.executed(), 5);
+    }
+
+    #[test]
+    fn a_cache_hit_answers_queued_same_key_jobs_too() {
+        // A's mine is cached first; A1's claim then answers A2 and A3 from
+        // the same cache hit, ahead of B, without solving.
+        let pool = WorkerPool::new(1, 16);
+        let a = shared_session(6);
+        let b = shared_session(6);
+        seed_triangle(&a);
+        seed_triangle(&b);
+        run(&pool, &a, JobSpec::Mine { measure: None });
+        let mine = || JobSpec::Mine { measure: None };
+        let rest = vec![(&b, mine(), "B"), (&a, mine(), "A2"), (&a, mine(), "A3")];
+        let replies = claim_behind_a_blocked_job(&pool, &a, rest, SolveContext::unbounded());
+        let order: Vec<&str> = replies.iter().map(|(label, _)| *label).collect();
+        assert_eq!(order, ["A1", "A2", "A3", "B"]);
+        for (label, value) in &replies {
+            assert_eq!(value["cached"] == true, *label != "B", "{label}");
+            assert_eq!(value["result"]["subset"], serde_json::json!([0, 1, 2]));
+        }
+        assert_eq!(pool.coalesced(), 0);
+        assert_eq!(
+            pool.batch_size_snapshot().count,
+            2,
+            "only A's first mine and B solve"
+        );
         assert_eq!(pool.executed(), 5);
     }
 

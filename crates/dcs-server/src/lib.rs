@@ -181,7 +181,9 @@
 //! * `terminations: {converged, deadline, cancelled, budget_exhausted}` —
 //!   how solved jobs ended;
 //! * `cache: {entries, hits, misses, evictions, hit_rate}` — aggregated over
-//!   every session's result cache;
+//!   every session's result cache; `hits` and `misses` count cache lookups,
+//!   one per claimed batch, so a job answered with its leader (from the
+//!   cache or from the leader's solve) adds no lookup of its own;
 //! * `observes: {batches, updates, per_sec}` — observe throughput since the
 //!   server started;
 //! * `queue.shard_depths: [n]` — a one-element array holding `queue.depth`
@@ -227,19 +229,19 @@
 //! The worker pool is **one locked FIFO** with **snapshot batching**: every
 //! mining job and cadence observe joins the back of one bounded queue, and an
 //! idle worker takes the front job.  A worker that takes a mining job locks
-//! its session once: a cache hit is answered at once; on a miss the worker
-//! also takes every queued job with the same session and the same cache key
-//! (same command, parameters and measure) out of the queue, snapshots the
-//! difference graph once and solves once, answering every member from that
-//! solve.  Coalesced followers carry `"coalesced": true` next to
-//! `"cached": false` in their response; the leader and un-duplicated jobs
-//! carry neither.  Jobs of other sessions or other keys keep their place in
-//! the queue and go to the next idle worker, so different commands still
-//! fan out across the pool; there is no per-worker deque and no stealing.
-//! Batch sizes and coalesced counts are exported under `batching` in the
-//! server-wide
-//! `stats` payload.  Intra-solve parallelism (how many threads one solve may
-//! use: DCSGreedy's `G_D` and `G_{D+}` peels side by side and the NewSEA µ_u
+//! its session once and also takes every queued job with the same session
+//! and the same cache key (same command, parameters and measure) out of the
+//! queue.  On a cache hit every member is answered from the cache; on a miss
+//! the worker snapshots the difference graph once and solves once, answering
+//! every member from that solve.  Coalesced followers carry
+//! `"coalesced": true` next to `"cached": false` in their response; the
+//! leader and un-duplicated jobs carry neither.  Jobs of other sessions or
+//! other keys keep their place in the queue and go to the next idle worker,
+//! so different commands still fan out across the pool; there is no
+//! per-worker deque and no stealing.  Batch sizes and coalesced counts are
+//! exported under `batching` in the server-wide `stats` payload.
+//! Intra-solve parallelism (how many threads one solve may use: DCSGreedy's
+//! `G_D` and `G_{D+}` peels side by side and the NewSEA µ_u
 //! ordering) is configured separately via [`ServerConfig::solver_threads`].
 //!
 //! ## Example

@@ -209,8 +209,8 @@ impl ServerMetrics {
                 "size_p99": batch_sizes.p99(),
                 "size_max": batch_sizes.max,
                 "coalesced": pool.coalesced(),
-                // No stealing since the pool became one FIFO; the field is
-                // kept for wire compatibility until a protocol bump.
+                // The pool never steals; the field stays for wire
+                // compatibility until a protocol bump.
                 "steals": 0,
             },
             "jobs": {
