@@ -373,7 +373,8 @@ impl PoolShared {
 }
 
 /// A fixed set of worker threads taking jobs from one bounded FIFO, with
-/// queued same-session, same-key mining jobs coalesced into one solve.
+/// queued same-session, same-key mining jobs answered by one cache hit or
+/// one solve.
 pub struct WorkerPool {
     shared: Arc<PoolShared>,
     workers: Vec<JoinHandle<()>>,
